@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction binaries: fixed
- * table formatting, the benchmark list, and accelerator configurations
- * for the design-space sweeps.
+ * Shared helpers for the bench binaries: the banner, argv discipline,
+ * the benchmark list, and accelerator configurations for the CU sweep.
  */
 
 #ifndef ROBOX_BENCH_BENCH_UTIL_HH
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "accel/config.hh"
-#include "core/evaluation.hh"
 #include "robots/robots.hh"
 
 namespace robox::bench
@@ -61,19 +59,6 @@ configWithCus(int total_cus)
         cfg.cusPerCc = 16;
     }
     return cfg;
-}
-
-/** Geomean of speedups of RoboX over `platform` across all benchmarks. */
-inline double
-geomeanSpeedup(const std::string &platform, int horizon,
-               const accel::AcceleratorConfig &config =
-                   accel::AcceleratorConfig::paperDefault())
-{
-    std::vector<double> values;
-    for (const robots::Benchmark &bench : robots::allBenchmarks())
-        values.push_back(core::evaluateBenchmark(bench, horizon, config)
-                             .speedupOver(platform));
-    return core::geometricMean(values);
 }
 
 } // namespace robox::bench

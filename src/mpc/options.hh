@@ -251,16 +251,6 @@ struct MpcOptions
     int flightRecorderCapacity = 0;
 
     /**
-     * Checkpoint cadence for crash-safe serving harnesses: write a
-     * checkpoint every N control periods (batches). The knob is
-     * consumed by the harness that owns the files (e.g.
-     * bench/overload_storm --kill-resume), not by the controller
-     * itself — checkpoint()/restore() can be called at any period
-     * boundary. 0 disables periodic checkpointing.
-     */
-    int checkpointEveryPeriods = 0;
-
-    /**
      * Evaluate all problem tapes in the accelerator's Q14.17 fixed
      * point with LUT nonlinears instead of double precision. Used to
      * validate the paper's claim that 32-bit fixed point with 17

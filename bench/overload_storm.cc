@@ -326,9 +326,9 @@ runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
                     r.status() ==
                         robox::support::CheckpointStatus::Ok &&
                     r.u64(&saved_b) &&
-                    robox::mpc::readVectorList(r, truth) &&
-                    robox::mpc::readVectorList(r, prev_meas) &&
-                    robox::mpc::readVectorList(r, last_u) &&
+                    robox::field(r, truth) &&
+                    robox::field(r, prev_meas) &&
+                    robox::field(r, last_u) &&
                     r.f64(&err_sum) && r.u64(&err_n) &&
                     r.f64(&result.maxTrackingError) &&
                     r.u64(&saved_shed) && batch->restore(r) && r.atEnd();
@@ -378,9 +378,9 @@ runStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         if (crash && b % crash->checkpointEvery == 0) {
             robox::support::CheckpointWriter w;
             w.u64(static_cast<std::uint64_t>(b));
-            robox::mpc::writeVectorList(w, truth);
-            robox::mpc::writeVectorList(w, prev_meas);
-            robox::mpc::writeVectorList(w, last_u);
+            robox::field(w, truth);
+            robox::field(w, prev_meas);
+            robox::field(w, last_u);
             w.f64(err_sum);
             w.u64(err_n);
             w.f64(result.maxTrackingError);
@@ -517,7 +517,7 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
                     r.status() ==
                         robox::support::CheckpointStatus::Ok &&
                     r.u64(&saved_b) &&
-                    robox::mpc::readVectorList(r, truth) &&
+                    robox::field(r, truth) &&
                     r.f64(&err_sum) && r.u64(&err_n) &&
                     r.f64(&result.maxTrackingError) &&
                     batch->restore(r) && r.atEnd();
@@ -557,7 +557,7 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
         if (crash && b % crash->checkpointEvery == 0) {
             robox::support::CheckpointWriter w;
             w.u64(static_cast<std::uint64_t>(b));
-            robox::mpc::writeVectorList(w, truth);
+            robox::field(w, truth);
             w.f64(err_sum);
             w.u64(err_n);
             w.f64(result.maxTrackingError);

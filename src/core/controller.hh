@@ -210,6 +210,9 @@ class Controller
     }
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     /** Shared failure handling for both step() overloads. */
     mpc::IpmSolver::Result applyFailsafe(mpc::IpmSolver::Result result);
 

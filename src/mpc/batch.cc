@@ -894,33 +894,14 @@ BatchController::resetAll()
 namespace
 {
 
-void
-checkpointSelfCheck(support::CheckpointWriter &w,
-                    const SelfCheckStats &sc)
-{
-    w.u64(sc.parityChecks);
-    w.u64(sc.parityErrors);
-    w.u64(sc.checksumChecks);
-    w.u64(sc.checksumErrors);
-    w.u64(sc.watchdogTrips);
-    w.u64(sc.reexecutions);
-    w.u64(sc.reloads);
-    w.u64(sc.cpuFallbacks);
-}
-
+template <class Io, class SelfCheck>
 bool
-restoreSelfCheck(support::CheckpointReader &r, SelfCheckStats &sc)
+transferSelfCheck(Io &io, SelfCheck &sc)
 {
-    return r.u64(&sc.parityChecks) && r.u64(&sc.parityErrors) &&
-           r.u64(&sc.checksumChecks) && r.u64(&sc.checksumErrors) &&
-           r.u64(&sc.watchdogTrips) && r.u64(&sc.reexecutions) &&
-           r.u64(&sc.reloads) && r.u64(&sc.cpuFallbacks);
-}
-
-bool
-readDoubles(support::CheckpointReader &r, std::vector<double> &v)
-{
-    return r.f64Array(v.data(), v.size());
+    return field(io, sc.parityChecks) && field(io, sc.parityErrors) &&
+           field(io, sc.checksumChecks) && field(io, sc.checksumErrors) &&
+           field(io, sc.watchdogTrips) && field(io, sc.reexecutions) &&
+           field(io, sc.reloads) && field(io, sc.cpuFallbacks);
 }
 
 } // namespace
@@ -953,86 +934,82 @@ BatchController::coldStart()
     recorder_.clear();
 }
 
-void
-BatchController::checkpoint(support::CheckpointWriter &w) const
+template <class Io, class Self>
+bool
+BatchController::transfer(Io &io, Self &self)
 {
-    const BatchReport &rp = report_;
-    w.u64(solvers_.size());
-    w.boolean(link_ != nullptr);
+    using support::enumField;
+    if (!support::expectField(io, std::uint64_t{self.solvers_.size()}) ||
+        !support::expectField(io, self.link_ != nullptr))
+        return false;
 
     // Lifetime report: every counter, the last-batch snapshot, and
     // the histograms. The worker-pool size is deliberately NOT stored
     // — a checkpoint written at --threads 4 must restore bitwise into
     // a --threads 1 controller (the determinism contract).
-    w.u64(rp.batches);
-    w.u64(rp.solves);
-    w.u64(rp.totalIterations);
-    w.u64(rp.totalKktFlops);
-    w.u64(rp.unconverged);
-    w.f64(rp.lastBatchSeconds);
-    w.f64(rp.totalBatchSeconds);
-    w.f64(rp.robotsPerSecond);
-    w.u64(rp.lastBatchAllocations);
-    for (SolveStatus s : rp.statuses)
-        w.u32(static_cast<std::uint32_t>(s));
-    w.u64(rp.lastBatchFailures);
-    w.u64(rp.failures);
-    w.u64(rp.lastBatchExceptions);
-    w.u64(rp.exceptions);
-    w.i64(rp.lastExceptionRobot);
-    w.str(rp.lastExceptionMessage);
-    w.u64(rp.lastBatchSaturations);
-    w.u64(rp.lastBatchDivByZeros);
-    w.u64(rp.lastBatchFaultsInjected);
-    w.u64(rp.saturations);
-    w.u64(rp.divByZeros);
-    w.u64(rp.faultsInjected);
-    w.u64(rp.lastBatchNumericDegraded);
-    w.u64(rp.lastBatchAccelFaults);
-    w.u64(rp.accelFaults);
-    checkpointSelfCheck(w, rp.lastBatchSelfCheck);
-    checkpointSelfCheck(w, rp.selfCheck);
-    const OverloadReport &ov = rp.overload;
-    w.f64(ov.budgetSeconds);
-    w.f64(ov.projectedSeconds);
-    w.f64(ov.admittedSeconds);
-    w.f64(ov.utilization);
-    w.u64(ov.overloadedBatches);
-    w.u64(ov.lastBatchDegraded);
-    w.u64(ov.lastBatchServedFromBackup);
-    w.u64(ov.lastBatchShed);
-    w.u64(ov.lastBatchBadInput);
-    w.u64(ov.lastBatchPoisoned);
-    w.u64(ov.degraded);
-    w.u64(ov.servedFromBackup);
-    w.u64(ov.shed);
-    w.u64(ov.badInput);
-    w.u64(ov.poisoned);
-    ov.batchLatency.checkpoint(w);
-    checkpointLinkReport(w, ov.link);
+    auto &rp = self.report_;
+    if (!field(io, rp.batches) || !field(io, rp.solves) ||
+        !field(io, rp.totalIterations) || !field(io, rp.totalKktFlops) ||
+        !field(io, rp.unconverged) || !field(io, rp.lastBatchSeconds) ||
+        !field(io, rp.totalBatchSeconds) || !field(io, rp.robotsPerSecond) ||
+        !field(io, rp.lastBatchAllocations))
+        return false;
+    for (auto &status : rp.statuses)
+        if (!enumField<std::uint32_t>(io, status, SolveStatus::Shed))
+            return false;
+    if (!field(io, rp.lastBatchFailures) || !field(io, rp.failures) ||
+        !field(io, rp.lastBatchExceptions) || !field(io, rp.exceptions) ||
+        !field(io, rp.lastExceptionRobot) ||
+        !field(io, rp.lastExceptionMessage) ||
+        !field(io, rp.lastBatchSaturations) ||
+        !field(io, rp.lastBatchDivByZeros) ||
+        !field(io, rp.lastBatchFaultsInjected) ||
+        !field(io, rp.saturations) || !field(io, rp.divByZeros) ||
+        !field(io, rp.faultsInjected) ||
+        !field(io, rp.lastBatchNumericDegraded) ||
+        !field(io, rp.lastBatchAccelFaults) || !field(io, rp.accelFaults) ||
+        !transferSelfCheck(io, rp.lastBatchSelfCheck) ||
+        !transferSelfCheck(io, rp.selfCheck))
+        return false;
+    auto &ov = rp.overload;
+    if (!field(io, ov.budgetSeconds) || !field(io, ov.projectedSeconds) ||
+        !field(io, ov.admittedSeconds) || !field(io, ov.utilization) ||
+        !field(io, ov.overloadedBatches) || !field(io, ov.lastBatchDegraded) ||
+        !field(io, ov.lastBatchServedFromBackup) ||
+        !field(io, ov.lastBatchShed) || !field(io, ov.lastBatchBadInput) ||
+        !field(io, ov.lastBatchPoisoned) || !field(io, ov.degraded) ||
+        !field(io, ov.servedFromBackup) || !field(io, ov.shed) ||
+        !field(io, ov.badInput) || !field(io, ov.poisoned) ||
+        !field(io, ov.batchLatency) || !field(io, ov.link))
+        return false;
 
     // Admission cost model and timeline baselines.
-    w.f64Array(priority_.data(), priority_.size());
-    w.f64Array(ewma_.data(), ewma_.size());
-    w.f64Array(batch_cost_.data(), batch_cost_.size());
-    w.f64(virtual_now_);
-    for (Admit d : prev_decisions_)
-        w.u8(static_cast<std::uint8_t>(d));
-    for (std::uint8_t p : poisoned_)
-        w.u8(p);
+    if (!support::eachField(io, self.priority_) ||
+        !support::eachField(io, self.ewma_) ||
+        !support::eachField(io, self.batch_cost_) ||
+        !field(io, self.virtual_now_))
+        return false;
+    for (auto &d : self.prev_decisions_)
+        if (!enumField<std::uint8_t>(io, d, Admit::BadInput))
+            return false;
+    if (!support::eachField(io, self.poisoned_))
+        return false;
 
     // Per-robot serving stacks: solver warm start, backup tail,
     // sensor gate.
-    for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        solvers_[i]->checkpoint(w);
-        backups_[i].checkpoint(w);
-        gates_[i].checkpoint(w);
-    }
-    if (link_)
-        link_->checkpoint(w);
-    w.boolean(timeline_enabled_);
-    timeline_.checkpoint(w);
-    recorder_.checkpoint(w);
+    for (std::size_t i = 0; i < self.solvers_.size(); ++i)
+        if (!field(io, *self.solvers_[i]) || !field(io, self.backups_[i]) ||
+            !field(io, self.gates_[i]))
+            return false;
+    return (!self.link_ || field(io, *self.link_)) &&
+           field(io, self.timeline_enabled_) && field(io, self.timeline_) &&
+           field(io, self.recorder_);
+}
+
+void
+BatchController::checkpoint(support::CheckpointWriter &w) const
+{
+    transfer(w, *this);
     w.boolean(upgrade_ != nullptr);
     if (upgrade_)
         upgrade_->checkpoint(w);
@@ -1046,77 +1023,7 @@ BatchController::restore(support::CheckpointReader &r,
         coldStart();
         return false;
     };
-    if (r.status() != support::CheckpointStatus::Ok)
-        return fail();
-    std::uint64_t robots = 0;
-    bool has_link = false;
-    if (!r.u64(&robots) || robots != solvers_.size() ||
-        !r.boolean(&has_link) || has_link != (link_ != nullptr))
-        return fail();
-
-    BatchReport &rp = report_;
-    if (!r.u64(&rp.batches) || !r.u64(&rp.solves) ||
-        !r.u64(&rp.totalIterations) || !r.u64(&rp.totalKktFlops) ||
-        !r.u64(&rp.unconverged) || !r.f64(&rp.lastBatchSeconds) ||
-        !r.f64(&rp.totalBatchSeconds) || !r.f64(&rp.robotsPerSecond) ||
-        !r.u64(&rp.lastBatchAllocations))
-        return fail();
-    constexpr auto kMaxStatus =
-        static_cast<std::uint32_t>(SolveStatus::Shed);
-    for (SolveStatus &s : rp.statuses) {
-        std::uint32_t v = 0;
-        if (!r.u32(&v) || v > kMaxStatus)
-            return fail();
-        s = static_cast<SolveStatus>(v);
-    }
-    if (!r.u64(&rp.lastBatchFailures) || !r.u64(&rp.failures) ||
-        !r.u64(&rp.lastBatchExceptions) || !r.u64(&rp.exceptions) ||
-        !r.i64(&rp.lastExceptionRobot) ||
-        !r.str(&rp.lastExceptionMessage) ||
-        !r.u64(&rp.lastBatchSaturations) ||
-        !r.u64(&rp.lastBatchDivByZeros) ||
-        !r.u64(&rp.lastBatchFaultsInjected) ||
-        !r.u64(&rp.saturations) || !r.u64(&rp.divByZeros) ||
-        !r.u64(&rp.faultsInjected) ||
-        !r.u64(&rp.lastBatchNumericDegraded) ||
-        !r.u64(&rp.lastBatchAccelFaults) || !r.u64(&rp.accelFaults) ||
-        !restoreSelfCheck(r, rp.lastBatchSelfCheck) ||
-        !restoreSelfCheck(r, rp.selfCheck))
-        return fail();
-    OverloadReport &ov = rp.overload;
-    if (!r.f64(&ov.budgetSeconds) || !r.f64(&ov.projectedSeconds) ||
-        !r.f64(&ov.admittedSeconds) || !r.f64(&ov.utilization) ||
-        !r.u64(&ov.overloadedBatches) || !r.u64(&ov.lastBatchDegraded) ||
-        !r.u64(&ov.lastBatchServedFromBackup) ||
-        !r.u64(&ov.lastBatchShed) || !r.u64(&ov.lastBatchBadInput) ||
-        !r.u64(&ov.lastBatchPoisoned) || !r.u64(&ov.degraded) ||
-        !r.u64(&ov.servedFromBackup) || !r.u64(&ov.shed) ||
-        !r.u64(&ov.badInput) || !r.u64(&ov.poisoned) ||
-        !ov.batchLatency.restore(r) || !restoreLinkReport(r, ov.link))
-        return fail();
-
-    if (!readDoubles(r, priority_) || !readDoubles(r, ewma_) ||
-        !readDoubles(r, batch_cost_) || !r.f64(&virtual_now_))
-        return fail();
-    constexpr auto kMaxAdmit = static_cast<std::uint8_t>(Admit::BadInput);
-    for (Admit &d : prev_decisions_) {
-        std::uint8_t v = 0;
-        if (!r.u8(&v) || v > kMaxAdmit)
-            return fail();
-        d = static_cast<Admit>(v);
-    }
-    for (std::uint8_t &p : poisoned_)
-        if (!r.u8(&p))
-            return fail();
-
-    for (std::size_t i = 0; i < solvers_.size(); ++i)
-        if (!solvers_[i]->restore(r) || !backups_[i].restore(r) ||
-            !gates_[i].restore(r))
-            return fail();
-    if (link_ && !link_->restore(r))
-        return fail();
-    if (!r.boolean(&timeline_enabled_) || !timeline_.restore(r) ||
-        !recorder_.restore(r))
+    if (r.status() != support::CheckpointStatus::Ok || !transfer(r, *this))
         return fail();
     bool has_upgrade = false;
     if (!r.boolean(&has_upgrade))

@@ -419,6 +419,10 @@ class BatchController
         BadInput, //!< Rejected by input validation; backup command.
     };
 
+    /** Checkpointed fields up to the upgrade manager. */
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self);
+
     void workerLoop();
     /** Claim-and-solve until the batch's index queue is empty. */
     void drainQueue();

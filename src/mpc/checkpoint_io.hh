@@ -1,34 +1,38 @@
 /**
  * @file
- * Checkpoint serialization helpers for linalg types.
+ * Checkpoint fields for linalg types (support/checkpoint.hh).
  *
  * support/checkpoint deliberately knows nothing about the linear
- * algebra layer; these free functions bridge the gap for the MPC and
- * control layers. Vectors are stored as a u64 length followed by the
- * bitwise (u64 object representation) doubles, so a restored vector is
- * exactly — not approximately — the one checkpointed.
+ * algebra layer; these field overloads bridge the gap and live in
+ * Vector's namespace, so argument-dependent lookup finds them from any
+ * transfer function. A vector is a u64 length followed by the bitwise
+ * (u64 object representation) doubles, so a restored vector is exactly
+ * — not approximately — the one checkpointed.
  */
 
 #ifndef ROBOX_MPC_CHECKPOINT_IO_HH
 #define ROBOX_MPC_CHECKPOINT_IO_HH
 
+#include <concepts>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/matrix.hh"
 #include "support/checkpoint.hh"
 
-namespace robox::mpc
+namespace robox
 {
 
-inline void
-writeVector(support::CheckpointWriter &w, const Vector &v)
+inline bool
+field(support::CheckpointWriter &w, const Vector &v)
 {
     w.u64(v.size());
     w.f64Array(v.data(), v.size());
+    return true;
 }
 
 inline bool
-readVector(support::CheckpointReader &r, Vector &v)
+field(support::CheckpointReader &r, Vector &v)
 {
     std::uint64_t n = 0;
     if (!r.u64(&n))
@@ -38,29 +42,16 @@ readVector(support::CheckpointReader &r, Vector &v)
     return r.f64Array(v.data(), v.size());
 }
 
-inline void
-writeVectorList(support::CheckpointWriter &w,
-                const std::vector<Vector> &vs)
+/** A counted list of vectors, each in the encoding above. */
+template <class Io, class List>
+    requires std::same_as<std::remove_const_t<List>, std::vector<Vector>>
+bool
+field(Io &io, List &vs)
 {
-    w.u64(vs.size());
-    for (const Vector &v : vs)
-        writeVector(w, v);
+    return support::listField(
+        io, vs, [](auto &io2, auto &v) { return field(io2, v); });
 }
 
-inline bool
-readVectorList(support::CheckpointReader &r, std::vector<Vector> &vs)
-{
-    std::uint64_t n = 0;
-    if (!r.u64(&n))
-        return false;
-    if (vs.size() != n)
-        vs.resize(static_cast<std::size_t>(n));
-    for (Vector &v : vs)
-        if (!readVector(r, v))
-            return false;
-    return true;
-}
-
-} // namespace robox::mpc
+} // namespace robox
 
 #endif // ROBOX_MPC_CHECKPOINT_IO_HH

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "mpc/checkpoint_io.hh"
 #include "support/logging.hh"
@@ -80,27 +79,28 @@ BackupPlan::clear()
     consecutive_ = 0;
 }
 
+template <class Io, class Self>
+bool
+BackupPlan::transfer(Io &io, Self &self)
+{
+    return field(io, self.plan_) && field(io, self.cursor_) &&
+           field(io, self.consecutive_) && field(io, self.total_);
+}
+
 void
 BackupPlan::checkpoint(support::CheckpointWriter &w) const
 {
-    writeVectorList(w, plan_);
-    w.u64(cursor_);
-    w.i32(consecutive_);
-    w.i32(total_);
+    transfer(w, *this);
 }
 
 bool
 BackupPlan::restore(support::CheckpointReader &r)
 {
-    std::uint64_t cursor = 0;
-    if (!readVectorList(r, plan_) || !r.u64(&cursor) ||
-        !r.i32(&consecutive_) || !r.i32(&total_)) {
-        clear();
-        total_ = 0;
-        return false;
-    }
-    cursor_ = static_cast<std::size_t>(cursor);
-    return true;
+    if (transfer(r, *this))
+        return true;
+    clear();
+    total_ = 0;
+    return false;
 }
 
 SolverHealth::SolverHealth(const std::string &name, double latency_hi)
@@ -195,46 +195,6 @@ SolverHealth::record(const SolveStats &stats)
     accelReloads_ += static_cast<double>(sc.reloads);
     accelCpuFallbacks_ += static_cast<double>(sc.cpuFallbacks);
     latency_.sample(stats.solveSeconds);
-}
-
-void
-SolverHealth::checkpoint(support::CheckpointWriter &w) const
-{
-    const stats::Scalar *scalars[] = {
-        &solves_, &converged_, &maxIterations_, &deadlineMisses_,
-        &numericFailures_, &diverged_, &badInput_, &numericDegraded_,
-        &accelFaults_, &degradedBudget_, &servedFromBackup_, &shed_,
-        &recoveryAttempts_, &coldRestarts_, &degraded_, &saturations_,
-        &divByZeros_, &faultsInjected_, &parityErrors_, &watchdogTrips_,
-        &accelReexecutions_, &accelReloads_, &accelCpuFallbacks_,
-    };
-    w.u64(std::size(scalars));
-    for (const stats::Scalar *s : scalars)
-        w.f64(s->value());
-    latency_.checkpoint(w);
-}
-
-bool
-SolverHealth::restore(support::CheckpointReader &r)
-{
-    stats::Scalar *scalars[] = {
-        &solves_, &converged_, &maxIterations_, &deadlineMisses_,
-        &numericFailures_, &diverged_, &badInput_, &numericDegraded_,
-        &accelFaults_, &degradedBudget_, &servedFromBackup_, &shed_,
-        &recoveryAttempts_, &coldRestarts_, &degraded_, &saturations_,
-        &divByZeros_, &faultsInjected_, &parityErrors_, &watchdogTrips_,
-        &accelReexecutions_, &accelReloads_, &accelCpuFallbacks_,
-    };
-    std::uint64_t count = 0;
-    if (!r.u64(&count) || count != std::size(scalars))
-        return false;
-    for (stats::Scalar *s : scalars) {
-        double v = 0.0;
-        if (!r.f64(&v))
-            return false;
-        s->set(v);
-    }
-    return latency_.restore(r);
 }
 
 double

@@ -111,6 +111,9 @@ class BackupPlan
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     const dsl::ModelSpec *model_;
     std::vector<Vector> plan_; //!< Last accepted input trajectory.
     std::size_t cursor_ = 0;   //!< Next tail stage to replay.
@@ -151,13 +154,6 @@ class SolverHealth
     /** Render the group (gem5-style aligned dump). */
     std::string dump() const { return group_.dump(); }
     void reset() { group_.resetAll(); }
-
-    /** Serialize every counter and the latency histogram. */
-    void checkpoint(support::CheckpointWriter &w) const;
-
-    /** Restore state written by checkpoint(); false on a short or
-     *  mismatched payload. */
-    bool restore(support::CheckpointReader &r);
 
   private:
     stats::StatGroup group_;

@@ -46,10 +46,7 @@ const FlightRecord &
 FlightRecorder::record(int i) const
 {
     robox_assert(i >= 0 && i < size());
-    std::size_t idx =
-        (head_ + ring_.size() - count_ + static_cast<std::size_t>(i)) %
-        ring_.size();
-    return ring_[idx];
+    return ring_[slot(static_cast<std::size_t>(i))];
 }
 
 namespace
@@ -91,55 +88,43 @@ FlightRecorder::toJson() const
     return os.str();
 }
 
+template <class Io, class Self>
+bool
+FlightRecorder::transfer(Io &io, Self &self)
+{
+    const std::uint64_t capacity = self.ring_.size();
+    if (!support::expectField(io, capacity) || !field(io, self.total_) ||
+        !field(io, self.count_) || self.count_ > capacity)
+        return false;
+    for (std::size_t i = 0; i < self.count_; ++i) {
+        auto &rec = self.ring_[self.slot(i)];
+        if (!field(io, rec.period) || !field(io, rec.robot) ||
+            !support::enumField<std::uint32_t>(io, rec.status,
+                                               SolveStatus::Shed) ||
+            !field(io, rec.rung) || !field(io, rec.sensorVerdict) ||
+            !field(io, rec.linkService) || !field(io, rec.degraded) ||
+            !field(io, rec.state) || !field(io, rec.command))
+            return false;
+    }
+    return true;
+}
+
 void
 FlightRecorder::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(ring_.size());
-    w.u64(total_);
-    w.u64(count_);
-    for (int i = 0; i < size(); ++i) {
-        const FlightRecord &rec = record(i);
-        w.u64(rec.period);
-        w.i32(rec.robot);
-        w.u32(static_cast<std::uint32_t>(rec.status));
-        w.i32(rec.rung);
-        w.i32(rec.sensorVerdict);
-        w.i32(rec.linkService);
-        w.boolean(rec.degraded);
-        writeVector(w, rec.state);
-        writeVector(w, rec.command);
-    }
+    transfer(w, *this);
 }
 
 bool
 FlightRecorder::restore(support::CheckpointReader &r)
 {
-    std::uint64_t capacity = 0;
-    std::uint64_t total = 0;
-    std::uint64_t count = 0;
-    if (!r.u64(&capacity) || !r.u64(&total) || !r.u64(&count) ||
-        capacity != ring_.size() || count > capacity) {
-        clear();
-        return false;
-    }
+    // With head_ at 0, slot() puts the records oldest first just
+    // behind the write head, so the ring resumes in push() order.
     clear();
-    FlightRecord rec;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint32_t status = 0;
-        if (!r.u64(&rec.period) || !r.i32(&rec.robot) ||
-            !r.u32(&status) ||
-            status > static_cast<std::uint32_t>(SolveStatus::Shed) ||
-            !r.i32(&rec.rung) || !r.i32(&rec.sensorVerdict) ||
-            !r.i32(&rec.linkService) || !r.boolean(&rec.degraded) ||
-            !readVector(r, rec.state) || !readVector(r, rec.command)) {
-            clear();
-            return false;
-        }
-        rec.status = static_cast<SolveStatus>(status);
-        push(rec);
-    }
-    total_ = total;
-    return true;
+    if (transfer(r, *this))
+        return true;
+    clear();
+    return false;
 }
 
 } // namespace robox::mpc

@@ -89,6 +89,15 @@ class FlightRecorder
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
+    /** Ring slot of the i-th retained record, oldest first. */
+    std::size_t slot(std::size_t i) const
+    {
+        return (head_ + ring_.size() - count_ + i) % ring_.size();
+    }
+
     std::vector<FlightRecord> ring_;
     std::size_t head_ = 0;  //!< Next write slot.
     std::size_t count_ = 0; //!< Retained records.

@@ -963,92 +963,85 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
 namespace
 {
 
-/** readVector with a layout check: the destination keeps its
- *  construction-time size, so a mismatched payload fails instead of
- *  silently resizing solver storage. */
+/** Storage the problem sizes, written as usual; reads below. */
+template <class T, class... Shape>
 bool
-readVectorExact(support::CheckpointReader &r, Vector &v)
+sizedField(support::CheckpointWriter &w, const T &x, Shape...)
 {
-    std::uint64_t n = 0;
-    if (!r.u64(&n) || n != v.size())
+    return field(w, x);
+}
+
+/** A vector whose length the problem fixes: the read fails unless the
+ *  stored length is `n`, or 0 when `may_be_empty`. */
+bool
+sizedField(support::CheckpointReader &r, Vector &v, std::size_t n,
+           bool may_be_empty)
+{
+    std::uint64_t stored = 0;
+    if (!r.u64(&stored) || (stored != n && !(may_be_empty && stored == 0)))
         return false;
+    if (v.size() != stored)
+        v.resize(static_cast<std::size_t>(stored));
     return r.f64Array(v.data(), v.size());
 }
 
+/** A trajectory of `count` vectors of length `dim`, or none at all. */
+bool
+sizedField(support::CheckpointReader &r, std::vector<Vector> &vs,
+           std::size_t count, std::size_t dim)
+{
+    std::uint64_t n = 0;
+    if (!r.u64(&n) || (n != 0 && n != count))
+        return false;
+    vs.assign(static_cast<std::size_t>(n), Vector(dim));
+    for (Vector &v : vs)
+        if (!sizedField(r, v, dim, false))
+            return false;
+    return true;
+}
 
 } // namespace
+
+template <class Io, class Self>
+bool
+IpmSolver::transfer(Io &io, Self &self)
+{
+    // xs_/us_ and result_.u0 stay empty until the first solve(), so the
+    // payload may carry either nothing or full-size storage; a restore
+    // sizes it from the problem dimensions, never from the payload.
+    const auto stages = static_cast<std::size_t>(self.problem_.horizon());
+    const auto nx = static_cast<std::size_t>(self.problem_.nx());
+    const auto nu = static_cast<std::size_t>(self.problem_.nu());
+    if (!field(io, self.warm_) ||
+        !sizedField(io, self.xs_, stages + 1, nx) ||
+        !sizedField(io, self.us_, stages, nu) ||
+        !support::expectField(io, std::uint64_t{self.ineq_.size()}))
+        return false;
+    for (auto &blk : self.ineq_)
+        if (!sizedField(io, blk.s, blk.s.size(), false) ||
+            !sizedField(io, blk.lam, blk.lam.size(), false))
+            return false;
+    auto &res = self.result_;
+    return sizedField(io, res.u0, nu, true) && field(io, res.converged) &&
+           field(io, res.iterations) && field(io, res.objective) &&
+           support::enumField<std::uint32_t>(io, res.status,
+                                             SolveStatus::Shed) &&
+           field(io, res.degraded);
+}
 
 void
 IpmSolver::checkpoint(support::CheckpointWriter &w) const
 {
-    w.boolean(warm_);
-    writeVectorList(w, xs_);
-    writeVectorList(w, us_);
-    w.u64(ineq_.size());
-    for (const IneqBlock &blk : ineq_) {
-        writeVector(w, blk.s);
-        writeVector(w, blk.lam);
-    }
-    writeVector(w, result_.u0);
-    w.boolean(result_.converged);
-    w.i32(result_.iterations);
-    w.f64(result_.objective);
-    w.u32(static_cast<std::uint32_t>(result_.status));
-    w.boolean(result_.degraded);
+    transfer(w, *this);
 }
 
 bool
 IpmSolver::restore(support::CheckpointReader &r)
 {
-    std::uint64_t blocks = 0;
-    std::uint32_t status = 0;
-    // xs_/us_ stay empty until the first solve(), so the payload may
-    // carry either nothing or a full trajectory; size the in-memory
-    // storage from the problem dimensions, never from the payload.
-    const auto stages = static_cast<std::uint64_t>(problem_.horizon());
-    const auto nx = static_cast<std::uint64_t>(problem_.nx());
-    const auto nu = static_cast<std::uint64_t>(problem_.nu());
-    auto read_traj = [&](std::vector<Vector> &vs, std::uint64_t count,
-                         std::uint64_t dim) {
-        std::uint64_t n = 0;
-        if (!r.u64(&n) || (n != 0 && n != count))
-            return false;
-        vs.assign(static_cast<std::size_t>(n),
-                  Vector(static_cast<std::size_t>(dim)));
-        for (Vector &v : vs)
-            if (!readVectorExact(r, v))
-                return false;
+    if (transfer(r, *this))
         return true;
-    };
-    bool ok = r.boolean(&warm_) && read_traj(xs_, stages + 1, nx) &&
-              read_traj(us_, stages, nu) && r.u64(&blocks) &&
-              blocks == ineq_.size();
-    for (std::size_t k = 0; ok && k < ineq_.size(); ++k)
-        ok = readVectorExact(r, ineq_[k].s) &&
-             readVectorExact(r, ineq_[k].lam);
-    // result_.u0 is empty until the first solve, so the restored size
-    // may legitimately differ from the in-memory one — but only ever
-    // 0 (never solved) or the input dimension.
-    auto read_u0 = [&] {
-        std::uint64_t n = 0;
-        if (!r.u64(&n) ||
-            (n != 0 && n != static_cast<std::uint64_t>(problem_.nu())))
-            return false;
-        if (result_.u0.size() != n)
-            result_.u0.resize(static_cast<std::size_t>(n));
-        return r.f64Array(result_.u0.data(), result_.u0.size());
-    };
-    ok = ok && read_u0() &&
-         r.boolean(&result_.converged) && r.i32(&result_.iterations) &&
-         r.f64(&result_.objective) && r.u32(&status) &&
-         status <= static_cast<std::uint32_t>(SolveStatus::Shed) &&
-         r.boolean(&result_.degraded);
-    if (!ok) {
-        warm_ = false;
-        return false;
-    }
-    result_.status = static_cast<SolveStatus>(status);
-    return true;
+    warm_ = false;
+    return false;
 }
 
 } // namespace robox::mpc

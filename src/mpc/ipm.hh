@@ -195,6 +195,9 @@ class IpmSolver
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     /** Per-stage slack/dual block. */
     struct IneqBlock
     {

@@ -6,7 +6,6 @@
 #include "mpc/link.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "mpc/checkpoint_io.hh"
@@ -492,151 +491,96 @@ FleetLink::reset()
 namespace
 {
 
-/** The LinkReport counters in one fixed, append-only order. */
-template <typename Report>
-auto
-linkCounters(Report &report)
+/** LinkReport's checkpointed state, listed once. */
+template <class Io, class Report>
+bool
+transferLinkReport(Io &io, Report &rp)
 {
-    return std::array{&report.uplinkSent,        &report.uplinkDropped,
-                      &report.uplinkDelivered,   &report.uplinkDuplicates,
-                      &report.uplinkReordered,   &report.downlinkSent,
-                      &report.downlinkDropped,   &report.downlinkDelivered,
-                      &report.downlinkDuplicates, &report.downlinkReordered,
-                      &report.retransmits,       &report.acksDelivered,
-                      &report.planMisses,        &report.statesExtrapolated,
-                      &report.staleDemotions,    &report.linkDownEvents,
-                      &report.linkUpEvents,      &report.linkDownRobotPeriods};
+    return field(io, rp.uplinkSent) && field(io, rp.uplinkDropped) &&
+           field(io, rp.uplinkDelivered) && field(io, rp.uplinkDuplicates) &&
+           field(io, rp.uplinkReordered) && field(io, rp.downlinkSent) &&
+           field(io, rp.downlinkDropped) &&
+           field(io, rp.downlinkDelivered) &&
+           field(io, rp.downlinkDuplicates) &&
+           field(io, rp.downlinkReordered) && field(io, rp.retransmits) &&
+           field(io, rp.acksDelivered) && field(io, rp.planMisses) &&
+           field(io, rp.statesExtrapolated) &&
+           field(io, rp.staleDemotions) && field(io, rp.linkDownEvents) &&
+           field(io, rp.linkUpEvents) &&
+           field(io, rp.linkDownRobotPeriods) &&
+           field(io, rp.deliveryLatency) && field(io, rp.staleness);
 }
 
 } // namespace
 
-void
-checkpointLinkReport(support::CheckpointWriter &w,
-                     const LinkReport &report)
+bool
+field(support::CheckpointWriter &w, const LinkReport &report)
 {
-    for (const std::uint64_t *c : linkCounters(report))
-        w.u64(*c);
-    report.deliveryLatency.checkpoint(w);
-    report.staleness.checkpoint(w);
+    return transferLinkReport(w, report);
 }
 
 bool
-restoreLinkReport(support::CheckpointReader &r, LinkReport &report)
+field(support::CheckpointReader &r, LinkReport &report)
 {
-    for (std::uint64_t *c : linkCounters(report))
-        if (!r.u64(c))
+    return transferLinkReport(r, report);
+}
+
+template <class Io, class Self>
+bool
+FleetLink::transfer(Io &io, Self &self)
+{
+    using support::enumField;
+    auto uplink = [](auto &io, auto &m) {
+        return field(io, m.seq) && field(io, m.sent) &&
+               field(io, m.deliverAt) && field(io, m.ackSeq) &&
+               field(io, m.duplicate) && field(io, m.state);
+    };
+    auto downlink = [](auto &io, auto &m) {
+        return field(io, m.seq) && field(io, m.sent) &&
+               field(io, m.deliverAt) && field(io, m.duplicate) &&
+               field(io, m.plan);
+    };
+    if (!support::expectField(io, std::uint64_t{self.endpoints_.size()}) ||
+        !field(io, self.period_))
+        return false;
+    for (std::size_t i = 0; i < self.endpoints_.size(); ++i) {
+        auto &e = self.endpoints_[i];
+        if (!support::listField(io, e.uplinkQueue, uplink) ||
+            !support::listField(io, e.downlinkQueue, downlink) ||
+            !field(io, e.lastFreshSeq) || !field(io, e.lastFreshState) ||
+            !field(io, e.lastAnyDelivery) ||
+            !field(io, e.maxUpSeqDelivered) || !field(io, e.lastPlanSeq) ||
+            !field(io, e.lastPlan) || !field(io, e.ackedSeq) ||
+            !field(io, e.nextRetry) || !field(io, e.retryInterval) ||
+            !field(io, e.planSentThisPeriod) || !field(io, e.bufferedSeq) ||
+            !field(io, e.maxDownSeqDelivered) || !field(io, e.latency) ||
+            !field(io, e.staleness) || !field(io, self.buffers_[i]) ||
+            !field(io, self.served_[i]) || !field(io, self.exec_[i]) ||
+            !enumField<std::uint8_t>(io, self.service_[i], Service::Down) ||
+            !field(io, self.down_[i]) || !field(io, self.fresh_exec_[i]) ||
+            !field(io, self.extrapolated_[i]) ||
+            !field(io, self.stale_demoted_[i]) ||
+            !field(io, self.plan_missed_[i]) ||
+            !field(io, self.went_down_[i]) || !field(io, self.came_up_[i]))
             return false;
-    return report.deliveryLatency.restore(r) &&
-           report.staleness.restore(r);
+    }
+    return field(io, self.totals_);
 }
 
 void
 FleetLink::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(endpoints_.size());
-    w.u64(period_);
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        const Endpoint &e = endpoints_[i];
-        w.u64(e.uplinkQueue.size());
-        for (const UplinkMsg &m : e.uplinkQueue) {
-            w.u64(m.seq);
-            w.u64(m.sent);
-            w.u64(m.deliverAt);
-            w.u64(m.ackSeq);
-            w.boolean(m.duplicate);
-            writeVector(w, m.state);
-        }
-        w.u64(e.downlinkQueue.size());
-        for (const DownlinkMsg &m : e.downlinkQueue) {
-            w.u64(m.seq);
-            w.u64(m.sent);
-            w.u64(m.deliverAt);
-            w.boolean(m.duplicate);
-            writeVectorList(w, m.plan);
-        }
-        w.u64(e.lastFreshSeq);
-        writeVector(w, e.lastFreshState);
-        w.u64(e.lastAnyDelivery);
-        w.u64(e.maxUpSeqDelivered);
-        w.u64(e.lastPlanSeq);
-        writeVectorList(w, e.lastPlan);
-        w.u64(e.ackedSeq);
-        w.u64(e.nextRetry);
-        w.u64(e.retryInterval);
-        w.boolean(e.planSentThisPeriod);
-        w.u64(e.bufferedSeq);
-        w.u64(e.maxDownSeqDelivered);
-        e.latency.checkpoint(w);
-        e.staleness.checkpoint(w);
-        buffers_[i].checkpoint(w);
-        writeVector(w, served_[i]);
-        writeVector(w, exec_[i]);
-        w.u8(static_cast<std::uint8_t>(service_[i]));
-        w.u8(down_[i]);
-        w.u8(fresh_exec_[i]);
-        w.u8(extrapolated_[i]);
-        w.u8(stale_demoted_[i]);
-        w.u8(plan_missed_[i]);
-        w.u8(went_down_[i]);
-        w.u8(came_up_[i]);
-    }
-    checkpointLinkReport(w, totals_);
+    transfer(w, *this);
 }
 
 bool
 FleetLink::restore(support::CheckpointReader &r)
 {
-    auto fail = [&] {
-        reset();
-        totals_ = LinkReport();
-        return false;
-    };
-    std::uint64_t robots = 0;
-    if (!r.u64(&robots) || robots != endpoints_.size())
-        return fail();
-    if (!r.u64(&period_))
-        return fail();
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        Endpoint &e = endpoints_[i];
-        std::uint64_t n = 0;
-        if (!r.u64(&n))
-            return fail();
-        e.uplinkQueue.resize(static_cast<std::size_t>(n));
-        for (UplinkMsg &m : e.uplinkQueue)
-            if (!r.u64(&m.seq) || !r.u64(&m.sent) ||
-                !r.u64(&m.deliverAt) || !r.u64(&m.ackSeq) ||
-                !r.boolean(&m.duplicate) || !readVector(r, m.state))
-                return fail();
-        if (!r.u64(&n))
-            return fail();
-        e.downlinkQueue.resize(static_cast<std::size_t>(n));
-        for (DownlinkMsg &m : e.downlinkQueue)
-            if (!r.u64(&m.seq) || !r.u64(&m.sent) ||
-                !r.u64(&m.deliverAt) || !r.boolean(&m.duplicate) ||
-                !readVectorList(r, m.plan))
-                return fail();
-        std::uint8_t service = 0;
-        if (!r.u64(&e.lastFreshSeq) || !readVector(r, e.lastFreshState) ||
-            !r.u64(&e.lastAnyDelivery) || !r.u64(&e.maxUpSeqDelivered) ||
-            !r.u64(&e.lastPlanSeq) || !readVectorList(r, e.lastPlan) ||
-            !r.u64(&e.ackedSeq) || !r.u64(&e.nextRetry) ||
-            !r.u64(&e.retryInterval) ||
-            !r.boolean(&e.planSentThisPeriod) || !r.u64(&e.bufferedSeq) ||
-            !r.u64(&e.maxDownSeqDelivered) || !e.latency.restore(r) ||
-            !e.staleness.restore(r) || !buffers_[i].restore(r) ||
-            !readVector(r, served_[i]) || !readVector(r, exec_[i]) ||
-            !r.u8(&service) ||
-            service > static_cast<std::uint8_t>(Service::Down) ||
-            !r.u8(&down_[i]) || !r.u8(&fresh_exec_[i]) ||
-            !r.u8(&extrapolated_[i]) || !r.u8(&stale_demoted_[i]) ||
-            !r.u8(&plan_missed_[i]) || !r.u8(&went_down_[i]) ||
-            !r.u8(&came_up_[i]))
-            return fail();
-        service_[i] = static_cast<Service>(service);
-    }
-    if (!restoreLinkReport(r, totals_))
-        return fail();
-    return true;
+    if (transfer(r, *this))
+        return true;
+    reset();
+    totals_ = LinkReport();
+    return false;
 }
 
 } // namespace robox::mpc

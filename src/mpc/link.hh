@@ -125,13 +125,13 @@ struct LinkReport
                                16.0, 16};
 };
 
-/** Serialize every LinkReport counter and histogram. */
-void checkpointLinkReport(support::CheckpointWriter &w,
-                          const LinkReport &report);
+/** Checkpoint every LinkReport counter and histogram as one field
+ *  (support/checkpoint.hh). */
+bool field(support::CheckpointWriter &w, const LinkReport &report);
 
-/** Restore a LinkReport written by checkpointLinkReport(); false on a
- *  short payload or histogram-shape mismatch. */
-bool restoreLinkReport(support::CheckpointReader &r, LinkReport &report);
+/** Restore a LinkReport field; false on a short payload or
+ *  histogram-shape mismatch. */
+bool field(support::CheckpointReader &r, LinkReport &report);
 
 /**
  * The duplex link fabric for one fleet: per-robot uplink/downlink
@@ -281,6 +281,9 @@ class FleetLink
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     /** Sentinel for "no sequence number seen yet". */
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 

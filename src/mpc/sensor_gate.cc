@@ -130,31 +130,31 @@ SensorGate::check(const Vector &x)
     return verdict;
 }
 
+template <class Io, class Self>
+bool
+SensorGate::transfer(Io &io, Self &self)
+{
+    return field(io, self.baseline_) && field(io, self.has_baseline_) &&
+           field(io, self.frozen_streak_) && field(io, self.jump_streak_) &&
+           support::enumField<std::uint32_t>(io, self.last_verdict_,
+                                             SensorVerdict::Frozen) &&
+           field(io, self.rejected_);
+}
+
 void
 SensorGate::checkpoint(support::CheckpointWriter &w) const
 {
-    writeVector(w, baseline_);
-    w.boolean(has_baseline_);
-    w.i32(frozen_streak_);
-    w.i32(jump_streak_);
-    w.u32(static_cast<std::uint32_t>(last_verdict_));
-    w.u64(rejected_);
+    transfer(w, *this);
 }
 
 bool
 SensorGate::restore(support::CheckpointReader &r)
 {
-    std::uint32_t verdict = 0;
-    if (!readVector(r, baseline_) || !r.boolean(&has_baseline_) ||
-        !r.i32(&frozen_streak_) || !r.i32(&jump_streak_) ||
-        !r.u32(&verdict) || !r.u64(&rejected_) ||
-        verdict > static_cast<std::uint32_t>(SensorVerdict::Frozen)) {
-        reset();
-        rejected_ = 0;
-        return false;
-    }
-    last_verdict_ = static_cast<SensorVerdict>(verdict);
-    return true;
+    if (transfer(r, *this))
+        return true;
+    reset();
+    rejected_ = 0;
+    return false;
 }
 
 void

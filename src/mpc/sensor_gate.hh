@@ -92,6 +92,9 @@ class SensorGate
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     const dsl::ModelSpec *model_;
     double range_margin_;
     double jump_threshold_;

@@ -166,77 +166,43 @@ FleetTimeline::writeChromeJson(const std::string &path) const
     robox::trace::writeTextFile(path, toChromeJson());
 }
 
+template <class Io, class Self>
+bool
+FleetTimeline::transfer(Io &io, Self &self)
+{
+    using support::enumField;
+    auto span = [](auto &io, auto &s) {
+        return field(io, s.robot) && field(io, s.batch) &&
+               field(io, s.startSeconds) && field(io, s.durationSeconds) &&
+               enumField<std::uint8_t>(io, s.rung, ServiceRung::BadInput) &&
+               enumField<std::uint32_t>(io, s.status, SolveStatus::Shed) &&
+               field(io, s.iterations);
+    };
+    auto marker = [](auto &io, auto &m) {
+        return field(io, m.robot) && field(io, m.batch) &&
+               field(io, m.atSeconds) &&
+               enumField<std::uint8_t>(io, m.kind,
+                                       TimelineMarker::CanarySwitched) &&
+               enumField<std::uint8_t>(io, m.from, ServiceRung::BadInput) &&
+               enumField<std::uint8_t>(io, m.to, ServiceRung::BadInput);
+    };
+    return support::listField(io, self.spans_, span) &&
+           support::listField(io, self.markers_, marker);
+}
+
 void
 FleetTimeline::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u64(spans_.size());
-    for (const SolveSpan &s : spans_) {
-        w.u32(s.robot);
-        w.u64(s.batch);
-        w.f64(s.startSeconds);
-        w.f64(s.durationSeconds);
-        w.u8(static_cast<std::uint8_t>(s.rung));
-        w.u32(static_cast<std::uint32_t>(s.status));
-        w.i32(s.iterations);
-    }
-    w.u64(markers_.size());
-    for (const Marker &m : markers_) {
-        w.u32(m.robot);
-        w.u64(m.batch);
-        w.f64(m.atSeconds);
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.u8(static_cast<std::uint8_t>(m.from));
-        w.u8(static_cast<std::uint8_t>(m.to));
-    }
+    transfer(w, *this);
 }
 
 bool
 FleetTimeline::restore(support::CheckpointReader &r)
 {
-    auto fail = [&] {
-        clear();
-        return false;
-    };
-    constexpr auto kMaxRung =
-        static_cast<std::uint8_t>(ServiceRung::BadInput);
-    constexpr auto kMaxStatus =
-        static_cast<std::uint32_t>(SolveStatus::Shed);
-    constexpr auto kMaxMarker =
-        static_cast<std::uint8_t>(TimelineMarker::CanarySwitched);
-
+    if (transfer(r, *this))
+        return true;
     clear();
-    std::uint64_t n = 0;
-    if (!r.u64(&n))
-        return fail();
-    spans_.resize(static_cast<std::size_t>(n));
-    for (SolveSpan &s : spans_) {
-        std::uint8_t rung = 0;
-        std::uint32_t status = 0;
-        if (!r.u32(&s.robot) || !r.u64(&s.batch) ||
-            !r.f64(&s.startSeconds) || !r.f64(&s.durationSeconds) ||
-            !r.u8(&rung) || rung > kMaxRung || !r.u32(&status) ||
-            status > kMaxStatus || !r.i32(&s.iterations))
-            return fail();
-        s.rung = static_cast<ServiceRung>(rung);
-        s.status = static_cast<SolveStatus>(status);
-    }
-    if (!r.u64(&n))
-        return fail();
-    markers_.resize(static_cast<std::size_t>(n));
-    for (Marker &m : markers_) {
-        std::uint8_t kind = 0;
-        std::uint8_t from = 0;
-        std::uint8_t to = 0;
-        if (!r.u32(&m.robot) || !r.u64(&m.batch) ||
-            !r.f64(&m.atSeconds) || !r.u8(&kind) || kind > kMaxMarker ||
-            !r.u8(&from) || from > kMaxRung || !r.u8(&to) ||
-            to > kMaxRung)
-            return fail();
-        m.kind = static_cast<TimelineMarker>(kind);
-        m.from = static_cast<ServiceRung>(from);
-        m.to = static_cast<ServiceRung>(to);
-    }
-    return true;
+    return false;
 }
 
 } // namespace robox::mpc

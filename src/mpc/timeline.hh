@@ -138,6 +138,9 @@ class FleetTimeline
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     std::vector<SolveSpan> spans_;
     std::vector<Marker> markers_;
 };

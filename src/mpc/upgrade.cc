@@ -468,43 +468,43 @@ UpgradeManager::resetSolvers()
         s->reset();
 }
 
+template <class Io, class Self>
+bool
+UpgradeManager::transfer(Io &io, Self &self)
+{
+    using support::enumField;
+    auto &rp = self.report_;
+    if (!enumField<std::uint8_t>(io, self.phase_, UpgradePhase::Rejected) ||
+        !field(io, self.phase_periods_) || !field(io, rp.version) ||
+        !field(io, rp.scheduled) || !field(io, rp.rejectedImages) ||
+        !field(io, rp.rejectedIncompatible) || !field(io, rp.committed) ||
+        !field(io, rp.rolledBack) || !field(io, rp.rejectedCandidates) ||
+        !field(io, rp.shadowSolves) || !field(io, rp.canaryRobots) ||
+        !field(io, rp.divergenceWarns) || !field(io, rp.divergenceFails) ||
+        !field(io, rp.maxDivergence) || !field(io, rp.incumbentCostEwma) ||
+        !field(io, rp.candidateCostEwma) ||
+        !field(io, rp.rollbackDivergence) ||
+        !field(io, rp.rollbackFaultRate) || !field(io, rp.rollbackLatency) ||
+        !field(io, self.incumbent_solves_) || !field(io, self.incumbent_bad_) ||
+        !field(io, self.candidate_solves_) || !field(io, self.candidate_bad_))
+        return false;
+    for (auto *flags : {&self.serving_, &self.canary_})
+        for (auto &v : *flags)
+            if (!field(io, v) || v > 1)
+                return false;
+    auto marker = [](auto &io, auto &m) {
+        return enumField<std::uint8_t>(io, m.kind,
+                                       TimelineMarker::CanarySwitched) &&
+               field(io, m.robot);
+    };
+    return support::listField(io, self.pending_markers_, marker,
+                              16 * self.num_robots_ + 16);
+}
+
 void
 UpgradeManager::checkpoint(support::CheckpointWriter &w) const
 {
-    w.u8(static_cast<std::uint8_t>(phase_));
-    w.u64(phase_periods_);
-    const UpgradeReport &rp = report_;
-    w.u32(rp.version);
-    w.u64(rp.scheduled);
-    w.u64(rp.rejectedImages);
-    w.u64(rp.rejectedIncompatible);
-    w.u64(rp.committed);
-    w.u64(rp.rolledBack);
-    w.u64(rp.rejectedCandidates);
-    w.u64(rp.shadowSolves);
-    w.u64(rp.canaryRobots);
-    w.u64(rp.divergenceWarns);
-    w.u64(rp.divergenceFails);
-    w.f64(rp.maxDivergence);
-    w.f64(rp.incumbentCostEwma);
-    w.f64(rp.candidateCostEwma);
-    w.u64(rp.rollbackDivergence);
-    w.u64(rp.rollbackFaultRate);
-    w.u64(rp.rollbackLatency);
-    w.u64(incumbent_solves_);
-    w.u64(incumbent_bad_);
-    w.u64(candidate_solves_);
-    w.u64(candidate_bad_);
-    for (std::uint8_t v : serving_)
-        w.u8(v);
-    for (std::uint8_t v : canary_)
-        w.u8(v);
-    w.u64(pending_markers_.size());
-    for (const PendingMarker &m : pending_markers_) {
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.u32(m.robot);
-    }
-
+    transfer(w, *this);
     const bool has_solvers = !candidate_solvers_.empty();
     w.boolean(has_solvers);
     if (!has_solvers)
@@ -528,47 +528,9 @@ bool
 UpgradeManager::restore(support::CheckpointReader &r,
                         const UpgradeCandidate *candidate)
 {
-    std::uint8_t phase = 0;
-    constexpr auto kMaxPhase =
-        static_cast<std::uint8_t>(UpgradePhase::Rejected);
-    if (!r.u8(&phase) || phase > kMaxPhase || !r.u64(&phase_periods_))
+    if (!transfer(r, *this))
         return false;
-    phase_ = static_cast<UpgradePhase>(phase);
-    UpgradeReport &rp = report_;
-    if (!r.u32(&rp.version) || !r.u64(&rp.scheduled) ||
-        !r.u64(&rp.rejectedImages) ||
-        !r.u64(&rp.rejectedIncompatible) || !r.u64(&rp.committed) ||
-        !r.u64(&rp.rolledBack) || !r.u64(&rp.rejectedCandidates) ||
-        !r.u64(&rp.shadowSolves) || !r.u64(&rp.canaryRobots) ||
-        !r.u64(&rp.divergenceWarns) || !r.u64(&rp.divergenceFails) ||
-        !r.f64(&rp.maxDivergence) || !r.f64(&rp.incumbentCostEwma) ||
-        !r.f64(&rp.candidateCostEwma) ||
-        !r.u64(&rp.rollbackDivergence) ||
-        !r.u64(&rp.rollbackFaultRate) || !r.u64(&rp.rollbackLatency) ||
-        !r.u64(&incumbent_solves_) || !r.u64(&incumbent_bad_) ||
-        !r.u64(&candidate_solves_) || !r.u64(&candidate_bad_))
-        return false;
-    rp.phase = static_cast<std::uint8_t>(phase_);
-    for (std::uint8_t &v : serving_)
-        if (!r.u8(&v) || v > 1)
-            return false;
-    for (std::uint8_t &v : canary_)
-        if (!r.u8(&v) || v > 1)
-            return false;
-    std::uint64_t n_pending = 0;
-    if (!r.u64(&n_pending) || n_pending > 16 * num_robots_ + 16)
-        return false;
-    constexpr auto kMaxMarker =
-        static_cast<std::uint8_t>(TimelineMarker::CanarySwitched);
-    pending_markers_.clear();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-        std::uint8_t kind = 0;
-        std::uint32_t robot = 0;
-        if (!r.u8(&kind) || kind > kMaxMarker || !r.u32(&robot))
-            return false;
-        pending_markers_.push_back(PendingMarker{
-            static_cast<TimelineMarker>(kind), robot});
-    }
+    report_.phase = static_cast<std::uint8_t>(phase_);
 
     bool has_solvers = false;
     if (!r.boolean(&has_solvers))

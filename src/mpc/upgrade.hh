@@ -261,6 +261,10 @@ class UpgradeManager
                  const UpgradeCandidate *candidate);
 
   private:
+    /** Checkpointed fields up to the candidate solvers. */
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self);
+
     /** Per-robot scratch a worker fills for its own slot only. */
     struct PairSample
     {

@@ -32,9 +32,11 @@
 #ifndef ROBOX_SUPPORT_CHECKPOINT_HH
 #define ROBOX_SUPPORT_CHECKPOINT_HH
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 namespace robox::support
 {
@@ -89,8 +91,6 @@ class CheckpointWriter
     /** Store a length-prefixed string. */
     void str(const std::string &s);
 
-    std::size_t payloadSize() const { return payload_.size(); }
-
     /** Render header + payload as the final blob. */
     std::string finish() const;
 
@@ -126,10 +126,6 @@ class CheckpointReader
     /** True once any read ran past the payload end. */
     bool failed() const { return failed_; }
 
-    /** Payload bytes consumed so far (mirrors
-     *  CheckpointWriter::payloadSize() at the same stream point). */
-    std::size_t consumed() const { return pos_; }
-
     /** True when every payload byte has been consumed. */
     bool atEnd() const { return pos_ == payload_.size(); }
 
@@ -141,6 +137,131 @@ class CheckpointReader
     CheckpointStatus status_ = CheckpointStatus::Truncated;
     bool failed_ = false;
 };
+
+/**
+ * Symmetric field transfer. A checkpointed type lists its state once,
+ * in a private `template <class Io, class Self> static bool
+ * transfer(Io &io, Self &self)`: its checkpoint() calls it with a
+ * CheckpointWriter and `*this` (Self const), its restore() with a
+ * CheckpointReader. field(w, x) appends x and returns true; field(r, x)
+ * reads x back and returns false on a short payload. Write order and
+ * read order therefore cannot drift apart, and each reader overload
+ * binds only its exact type, so both sides agree on every width.
+ */
+inline bool
+field(CheckpointWriter &w, std::uint8_t v) { w.u8(v); return true; }
+inline bool
+field(CheckpointWriter &w, std::uint32_t v) { w.u32(v); return true; }
+inline bool
+field(CheckpointWriter &w, std::uint64_t v) { w.u64(v); return true; }
+inline bool
+field(CheckpointWriter &w, std::int32_t v) { w.i32(v); return true; }
+inline bool
+field(CheckpointWriter &w, std::int64_t v) { w.i64(v); return true; }
+inline bool
+field(CheckpointWriter &w, bool v) { w.boolean(v); return true; }
+inline bool
+field(CheckpointWriter &w, double v) { w.f64(v); return true; }
+inline bool
+field(CheckpointWriter &w, const std::string &v) { w.str(v); return true; }
+inline bool
+field(CheckpointReader &r, std::uint8_t &v) { return r.u8(&v); }
+inline bool
+field(CheckpointReader &r, std::uint32_t &v) { return r.u32(&v); }
+inline bool
+field(CheckpointReader &r, std::uint64_t &v) { return r.u64(&v); }
+inline bool
+field(CheckpointReader &r, std::int32_t &v) { return r.i32(&v); }
+inline bool
+field(CheckpointReader &r, std::int64_t &v) { return r.i64(&v); }
+inline bool
+field(CheckpointReader &r, bool &v) { return r.boolean(&v); }
+inline bool
+field(CheckpointReader &r, double &v) { return r.f64(&v); }
+inline bool
+field(CheckpointReader &r, std::string &v) { return r.str(&v); }
+
+/** A type with its own checkpoint()/restore() nests as one field. */
+template <class T>
+concept Checkpointable =
+    requires(const T &c, T &m, CheckpointWriter &w, CheckpointReader &r) {
+        c.checkpoint(w);
+        { m.restore(r) } -> std::same_as<bool>;
+    };
+
+template <Checkpointable T>
+bool
+field(CheckpointWriter &w, const T &x)
+{
+    x.checkpoint(w);
+    return true;
+}
+
+template <Checkpointable T>
+bool
+field(CheckpointReader &r, T &x)
+{
+    return x.restore(r);
+}
+
+/** Write `v`; a read succeeds only when the stored value equals `v`
+ *  (a shape the restoring object already has, e.g. its robot count). */
+template <class Io, class T>
+bool
+expectField(Io &io, const T &v)
+{
+    T stored = v;
+    return field(io, stored) && stored == v;
+}
+
+/** Store an enum as its `Wire` integer; a read of a value above `max`
+ *  fails and leaves `e` untouched. */
+template <class Wire, class E>
+bool
+enumField(CheckpointWriter &w, E e, E)
+{
+    return field(w, static_cast<Wire>(e));
+}
+
+template <class Wire, class E>
+bool
+enumField(CheckpointReader &r, E &e, E max)
+{
+    Wire v{};
+    if (!field(r, v) || v > static_cast<Wire>(max))
+        return false;
+    e = static_cast<E>(v);
+    return true;
+}
+
+/** Transfer every element of a fixed-length range; no count is stored,
+ *  the restoring object already has the length. */
+template <class Io, class Range>
+bool
+eachField(Io &io, Range &range)
+{
+    for (auto &x : range)
+        if (!field(io, x))
+            return false;
+    return true;
+}
+
+/** A counted list: a u64 length, then `each(io, element)` per element.
+ *  A read checks the length against `max` before it resizes `list`. */
+template <class Io, class List, class Each>
+bool
+listField(Io &io, List &list, Each each, std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t n = list.size();
+    if (!field(io, n) || n > max)
+        return false;
+    if constexpr (!std::is_const_v<List>)
+        list.resize(static_cast<std::size_t>(n));
+    for (auto &x : list)
+        if (!each(io, x))
+            return false;
+    return true;
+}
 
 /**
  * Write a blob to path via a temporary sibling + rename, so a crash

@@ -138,38 +138,29 @@ Histogram::bucketCount(int i) const
     return counts_[static_cast<std::size_t>(i)];
 }
 
+template <class Io, class Self>
+bool
+Histogram::transfer(Io &io, Self &self)
+{
+    using support::expectField;
+    return expectField(io, self.lo_) && expectField(io, self.hi_) &&
+           expectField(io, std::uint64_t{self.counts_.size()}) &&
+           support::eachField(io, self.counts_) &&
+           field(io, self.underflow_) && field(io, self.overflow_) &&
+           field(io, self.samples_) && field(io, self.sum_) &&
+           field(io, self.min_) && field(io, self.max_);
+}
+
 void
 Histogram::checkpoint(support::CheckpointWriter &w) const
 {
-    w.f64(lo_);
-    w.f64(hi_);
-    w.u64(counts_.size());
-    for (std::uint64_t c : counts_)
-        w.u64(c);
-    w.u64(underflow_);
-    w.u64(overflow_);
-    w.u64(samples_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
+    transfer(w, *this);
 }
 
 bool
 Histogram::restore(support::CheckpointReader &r)
 {
-    double lo = 0.0;
-    double hi = 0.0;
-    std::uint64_t buckets = 0;
-    if (!r.f64(&lo) || !r.f64(&hi) || !r.u64(&buckets))
-        return false;
-    if (lo != lo_ || hi != hi_ || buckets != counts_.size())
-        return false;
-    for (std::uint64_t &c : counts_)
-        if (!r.u64(&c))
-            return false;
-    return r.u64(&underflow_) && r.u64(&overflow_) &&
-           r.u64(&samples_) && r.f64(&sum_) && r.f64(&min_) &&
-           r.f64(&max_);
+    return transfer(r, *this);
 }
 
 void

@@ -127,6 +127,9 @@ class Histogram
     bool restore(support::CheckpointReader &r);
 
   private:
+    template <class Io, class Self>
+    static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
+
     std::string name_;
     std::string desc_;
     double lo_ = 0.0;

@@ -1001,9 +1001,10 @@ BatchController::transfer(Io &io, Self &self)
         if (!field(io, *self.solvers_[i]) || !field(io, self.backups_[i]) ||
             !field(io, self.gates_[i]))
             return false;
+    // Timeline enablement is runtime wiring, like the cost and stall
+    // hooks: the restoring process has already chosen it.
     return (!self.link_ || field(io, *self.link_)) &&
-           field(io, self.timeline_enabled_) && field(io, self.timeline_) &&
-           field(io, self.recorder_);
+           field(io, self.timeline_) && field(io, self.recorder_);
 }
 
 void

@@ -55,8 +55,9 @@ enum class CheckpointStatus
 /** Human-readable status name (stable, greppable). */
 const char *toString(CheckpointStatus status);
 
-/** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current checkpoint format version. Version 2 dropped
+ *  BatchController's timeline-enablement flag from the payload. */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Checkpoint magic, "RBCP" little-endian. */
 inline constexpr std::uint32_t kCheckpointMagic = 0x50434252u;

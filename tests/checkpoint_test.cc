@@ -566,6 +566,36 @@ TEST(BatchCheckpoint, LossyLinkResumesBitwise)
     EXPECT_EQ(live_metrics, resumed_metrics);
 }
 
+TEST(BatchCheckpoint, RestoreKeepsTheRestoringProcessTimelineSetting)
+{
+    // Timeline enablement is runtime wiring, not resumable state: a
+    // blob written with the timeline on must not switch it back on in
+    // a process that turned it off. The recorded spans still resume.
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    MpcOptions opt = baseOptions();
+    FleetHarness h(model);
+    BatchController live(model, opt, kFleet, 1);
+    live.enableTimeline(true);
+    for (int b = 0; b < 3; ++b)
+        h.stepBatch(live, nullptr, b, opt.dt);
+    const std::size_t spans = live.timeline().spans().size();
+    ASSERT_GT(spans, 0u);
+    support::CheckpointWriter w;
+    live.checkpoint(w);
+    const std::string blob = w.finish();
+
+    BatchController resumed(model, opt, kFleet, 1);
+    resumed.enableTimeline(false);
+    support::CheckpointReader r(blob);
+    ASSERT_TRUE(resumed.restore(r));
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(spans, resumed.timeline().spans().size());
+    const std::size_t markers = resumed.timeline().markers().size();
+    h.stepBatch(resumed, nullptr, 3, opt.dt);
+    EXPECT_EQ(spans, resumed.timeline().spans().size());
+    EXPECT_EQ(markers, resumed.timeline().markers().size());
+}
+
 TEST(BatchCheckpoint, MismatchedOrCorruptBlobsColdStartCleanly)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);

@@ -354,9 +354,10 @@ struct MpcOptions
     double upgradeFailRel = 5e-2;
 
     /**
-     * Latency guard: the candidate is rolled back when its fleet-level
-     * EWMA solve cost exceeds this multiple of the incumbent's (after
-     * at least two periods of both models being warm).
+     * Latency guard: during Canary, the candidate is rolled back when
+     * its fleet-level EWMA solve cost exceeds this multiple of the
+     * incumbent's (after at least two canary periods). Not armed in
+     * Shadow, whose candidate solves run outside the admission budget.
      */
     double upgradeMaxCostRatio = 2.0;
 

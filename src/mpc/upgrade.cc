@@ -440,8 +440,11 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
         }
     }
     // Latency budget: the candidate costs more than the allowed
-    // multiple of the incumbent, both models warm.
-    if (phase_periods_ >= 2 && report_.incumbentCostEwma > 0.0 &&
+    // multiple of the incumbent, both models warm. Armed only in
+    // Canary, where the candidate's cost reaches serving; in Shadow its
+    // solves run outside the admission budget.
+    if (phase_ == UpgradePhase::Canary && phase_periods_ >= 2 &&
+        report_.incumbentCostEwma > 0.0 &&
         options_.upgradeMaxCostRatio > 0.0 &&
         report_.candidateCostEwma >
             options_.upgradeMaxCostRatio * report_.incumbentCostEwma) {

@@ -18,9 +18,11 @@
  *            -> Committed (fleet-wide switch)
  *
  * with automatic rollback to the incumbent — and rejection while still
- * shadowing — on command divergence beyond the warn/fail bands, on a
+ * shadowing — on command divergence beyond the warn/fail bands or on a
  * bad-solve (non-usable / NumericDegraded / AccelFault) rate
- * regression, or on an EWMA solve-cost (latency budget) violation.
+ * regression, and rollback from Canary on an EWMA solve-cost (latency
+ * budget) violation. The latency guard is not armed in Shadow: the
+ * candidate's cost reaches serving only once it serves canary robots.
  * Because the non-serving version keeps shadow-solving every admitted
  * robot during Shadow and Canary, both versions stay warm: a switch in
  * either direction reuses the per-robot backup-plan tail and never

@@ -177,8 +177,11 @@ BatchController::runAdmission()
                   return a < b;
               });
 
-    const double floor_scale =
-        std::clamp(options_.overloadDegradeFloor, 0.01, 1.0);
+    // Lowest per-robot budget scale the degrade rung may apply before
+    // the ladder escalates to serving robots from backup. A scale s
+    // tightens a robot's deadline to s x its EWMA cost and its
+    // iteration cap to s x maxIterations.
+    constexpr double floor_scale = 0.25;
 
     // Rung 1 — degrade: protect the largest full-budget prefix that
     // still leaves every remaining robot at least the floor scale,
@@ -250,7 +253,8 @@ BatchController::applyBudgets()
 {
     if (options_.batchDeadlineSeconds < 0.0)
         return;
-    const int min_iters = std::max(1, options_.overloadMinIterations);
+    // Floor on the tightened per-robot iteration cap.
+    constexpr int min_iters = 3;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         // Budgets target whichever version serves the robot, scaled
         // from that version's own base options.
@@ -484,10 +488,12 @@ BatchController::finishLinkPeriod()
 void
 BatchController::updateCostModel()
 {
-    const double alpha =
-        std::clamp(options_.overloadEwmaAlpha, 0.0, 1.0);
-    const double recovery =
-        std::clamp(options_.overloadRecoveryFactor, 0.0, 1.0);
+    const double alpha = kCostEwmaAlpha;
+    // Decay applied each batch to the EWMA cost of a robot that was
+    // not freshly solved (served from backup or shed), so demoted
+    // robots are eventually re-admitted, remeasured, and — if still
+    // expensive — re-demoted.
+    constexpr double recovery = 0.5;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         batch_cost_[i] = 0.0;
         switch (decisions_[i]) {

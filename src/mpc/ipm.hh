@@ -248,8 +248,7 @@ class IpmSolver
     /** Initialize slacks/duals; warm invocations shift the previous
      *  solve's values by one stage (using the row maps precomputed in
      *  the constructor) and return a matching barrier. */
-    double initializeSlacks(const std::vector<Vector> &refs,
-                            double mu_init);
+    double initializeSlacks(const std::vector<Vector> &refs);
     void evaluateIneq(IneqBlock &blk, const StageEval &eval) const;
     double meritFunction(const std::vector<Vector> &xs,
                          const std::vector<Vector> &us,

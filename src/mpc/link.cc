@@ -228,8 +228,7 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
         static_cast<std::uint64_t>(std::max(0, options_.linkStalenessBoundPeriods));
     const bool refs_ok =
         i < refs.size() && refs[i].size() == nref;
-    if (age != kNever && age <= bound && options_.linkExtrapolateState &&
-        refs_ok) {
+    if (age != kNever && age <= bound && refs_ok) {
         // Bounded dynamics rollout: advance the last fresh state by
         // `age` periods, applying the inputs the last computed plan
         // intended for those periods (the robot is executing that

@@ -30,6 +30,10 @@ enum class Integrator
     Rk4,   //!< Classic fourth-order Runge-Kutta.
 };
 
+/** EWMA smoothing factor of the per-robot solve-cost model that feeds
+ *  batch admission, and of the upgrade manager's per-version costs. */
+inline constexpr double kCostEwmaAlpha = 0.3;
+
 /** Meta-parameters of one MPC controller instance. */
 struct MpcOptions
 {
@@ -60,24 +64,6 @@ struct MpcOptions
     /** Convergence tolerance on step size and equality residuals. */
     double tolerance = 1e-6;
 
-    /** Initial barrier parameter. */
-    double muInit = 1e-1;
-
-    /** Barrier parameter floor (also the complementarity target). */
-    double muMin = 1e-9;
-
-    /** Barrier reduction factor per accepted iteration. */
-    double muShrink = 0.2;
-
-    /** Fraction-to-boundary factor for slack/dual steps. */
-    double fractionToBoundary = 0.995;
-
-    /** Initial slack floor when initializing from the start trajectory. */
-    double slackFloor = 1e-3;
-
-    /** Levenberg regularization added when stage Hessians fail Cholesky. */
-    double initialRegularization = 1e-8;
-
     /**
      * Per-solve wall-clock budget in seconds (anytime MPC). When
      * non-negative, solve() checks the deadline before each iteration
@@ -106,10 +92,6 @@ struct MpcOptions
      */
     double batchDeadlineSeconds = -1.0;
 
-    /** EWMA smoothing factor for the per-robot solve-cost model that
-     *  feeds the batch admission pass (0 < alpha <= 1). */
-    double overloadEwmaAlpha = 0.3;
-
     /**
      * Parallelism the admission pass assumes when projecting batch
      * wall cost (projection = summed per-robot cost / parallelism).
@@ -119,29 +101,9 @@ struct MpcOptions
      */
     int overloadParallelism = 0;
 
-    /**
-     * Lowest per-robot budget scale the degrade rung may apply before
-     * the ladder escalates to serving robots from backup. A scale s
-     * tightens a robot's deadline to s x its EWMA cost and its
-     * iteration cap to s x maxIterations.
-     */
-    double overloadDegradeFloor = 0.25;
-
-    /** Floor on the tightened per-robot iteration cap applied by the
-     *  degrade rung. */
-    int overloadMinIterations = 3;
-
     /** Estimated cost of serving one robot from its backup plan,
      *  charged against the batch budget by the admission pass. */
     double overloadBackupCostSeconds = 2e-5;
-
-    /**
-     * Multiplicative decay applied each batch to the EWMA cost of a
-     * robot that was not freshly solved (served from backup or shed),
-     * so demoted robots are eventually re-admitted, remeasured, and —
-     * if still expensive — re-demoted.
-     */
-    double overloadRecoveryFactor = 0.5;
 
     /**
      * Sensor-gate range check: tolerated excursion beyond the model's
@@ -176,10 +138,10 @@ struct MpcOptions
     /**
      * Maximum age, in control periods, of the newest delivered state
      * the controller will still serve a robot on (compensated by a
-     * bounded dynamics-rollout extrapolation when
-     * linkExtrapolateState is set). A robot whose measurement is older
-     * is demoted to its backup-plan tail (SolveStatus::ServedFromBackup)
-     * instead of being served a solve against garbage.
+     * bounded dynamics-rollout extrapolation). A robot whose
+     * measurement is older is demoted to its backup-plan tail
+     * (SolveStatus::ServedFromBackup) instead of being served a solve
+     * against garbage.
      */
     int linkStalenessBoundPeriods = 3;
 
@@ -191,41 +153,12 @@ struct MpcOptions
      */
     int linkDownPeriods = 6;
 
-    /**
-     * Controller-side compensation for a missing uplink: roll the
-     * model dynamics forward from the last fresh state, applying the
-     * stages of the last computed plan, for up to
-     * linkStalenessBoundPeriods periods, and solve against the
-     * extrapolated state. Off, a robot with a missing uplink is served
-     * from its backup tail immediately.
-     */
-    bool linkExtrapolateState = true;
-
     /** Periods to wait before the first retransmit of an unacked plan
      *  downlink; subsequent retransmits back off exponentially. */
     int linkRetransmitBackoffBase = 1;
 
     /** Cap on the retransmit backoff interval, periods. */
     int linkRetransmitBackoffCap = 8;
-
-    /**
-     * Escalating in-solve recovery (the failsafe ladder): how many
-     * regularization bumps to attempt when a KKT factorization fails
-     * before escalating to a step backoff and then a cold restart.
-     * See ARCHITECTURE.md "Failure taxonomy and recovery ladder".
-     */
-    int maxRegularizationBumps = 2;
-
-    /** Factor applied to the KKT regularization on each bump. */
-    double regularizationBumpFactor = 1e4;
-
-    /** Cold restarts (warm-start reset + reinitialization) to attempt
-     *  inside one solve() before giving up with a failure status. */
-    int maxColdRestarts = 1;
-
-    /** Relaxation half-width used to pose equality task constraints as
-     *  two-sided inequalities. */
-    double equalityRelaxation = 1e-6;
 
     /**
      * Capacity of the per-solve iteration trace ring
@@ -265,9 +198,9 @@ struct MpcOptions
     /**
      * Golden-model cross-check for the fixed-point path: every tape
      * evaluated in Q14.17 is also evaluated in double precision and
-     * the outputs compared. Divergence beyond the warn band is counted
-     * in SolveStats::numeric; divergence beyond the fail band (in
-     * absolute AND relative terms) marks the solve
+     * the outputs compared. Divergence beyond the warn band (1e-2) is
+     * counted in SolveStats::numeric; divergence beyond the fail band
+     * (0.25 absolute AND 5% relative) marks the solve
      * SolveStatus::NumericDegraded so the failsafe ladder replaces the
      * command. This is the detection half of the fault-injection
      * harness; it roughly doubles tape-evaluation cost, so it is a
@@ -276,43 +209,22 @@ struct MpcOptions
      */
     bool crossCheckFixedPoint = false;
 
-    /** Absolute divergence beyond which a compared output counts as a
-     *  tolerance warning. Sized well above honest Q14.17 rounding
-     *  (LUT interpolation error is ~1e-4 on benchmark tapes). */
-    double crossCheckWarnAbs = 1e-2;
-
-    /**
-     * Fail band: a compared output is a breach when it diverges by
-     * more than crossCheckFailAbs AND more than crossCheckFailRel x
-     * the golden magnitude. The conjunction keeps large-magnitude
-     * Jacobian entries from tripping on rounding while still catching
-     * a single upset bit above the low-order positions.
-     */
-    double crossCheckFailAbs = 0.25;
-
-    /** Relative half of the fail band (see crossCheckFailAbs). */
-    double crossCheckFailRel = 5e-2;
-
     /**
      * Self-checking accelerator execution for the fixed-point tape
      * path: every quantized environment word carries a parity bit
      * computed at host write time and verified when the accelerator
      * reads it, so an upset is caught at first use instead of flowing
      * silently into the iterate. A detection engages the recovery
-     * ladder: re-execute the evaluation (up to accelMaxReexecutions,
-     * re-rolling the deterministic fault hash each attempt), then a
-     * simulated program-image reload with one more attempt, then the
-     * CPU double-precision fallback — which marks the solve
+     * ladder: re-execute the evaluation (up to twice, re-rolling the
+     * deterministic fault hash each attempt), then a simulated
+     * program-image reload with one more attempt, then the CPU
+     * double-precision fallback — which marks the solve
      * SolveStatus::AccelFault so the failsafe ladder replaces the
      * command. With no faults injected the checks change nothing:
      * detection is pure overhead, never perturbation. Only meaningful
      * with fixedPointTapes.
      */
     bool accelSelfCheck = false;
-
-    /** Recovery rung 1 depth: tape re-executions per detection before
-     *  escalating to reload and then CPU fallback. */
-    int accelMaxReexecutions = 2;
 
     /**
      * Live-upgrade staging (mpc/upgrade.hh): control periods a
@@ -335,14 +247,6 @@ struct MpcOptions
     std::uint64_t upgradeSeed = 0;
 
     /**
-     * Shadow/canary divergence warn band: absolute per-component
-     * difference between the incumbent's and the candidate's first
-     * commands beyond which a comparison counts as a warning
-     * (mirrors crossCheckWarnAbs for the fixed-point path).
-     */
-    double upgradeWarnAbs = 1e-2;
-
-    /**
      * Divergence fail band: a compared command component is a breach
      * when it diverges by more than upgradeFailAbs AND more than
      * upgradeFailRel x the incumbent magnitude. Any breach rejects a
@@ -360,14 +264,6 @@ struct MpcOptions
      * Shadow, whose candidate solves run outside the admission budget.
      */
     double upgradeMaxCostRatio = 2.0;
-
-    /**
-     * Fault-rate guard: the candidate is rolled back when its rate of
-     * bad solves (non-usable status, NumericDegraded, or AccelFault)
-     * over the current phase exceeds the incumbent's by more than this
-     * margin, once each version has at least a fleet-sized sample.
-     */
-    double upgradeFaultRateMargin = 0.10;
 };
 
 } // namespace robox::mpc

@@ -16,6 +16,25 @@ namespace robox::mpc
 namespace
 {
 
+/** Relaxation half-width used to pose equality task constraints as
+ *  two-sided inequalities. */
+constexpr double kEqualityRelaxation = 1e-6;
+
+// Fixed-point cross-check bands (MpcOptions::crossCheckFixedPoint). A
+// compared output past the warn band counts as a tolerance warning,
+// sized well above honest Q14.17 rounding (LUT interpolation error is
+// ~1e-4 on benchmark tapes). It is a breach only past both the
+// absolute and the relative fail band: the conjunction keeps
+// large-magnitude Jacobian entries from tripping on rounding while
+// still catching a single upset bit above the low-order positions.
+constexpr double kCrossCheckWarnAbs = 1e-2;
+constexpr double kCrossCheckFailAbs = 0.25;
+constexpr double kCrossCheckFailRel = 5e-2;
+
+/** Self-check recovery rung 1: tape re-executions per detection
+ *  before escalating to a reload and then the CPU fallback. */
+constexpr int kAccelMaxReexecutions = 2;
+
 /** True if the expression references any variable id in [lo, hi). */
 bool
 referencesRange(const sym::Expr &e, int lo, int hi)
@@ -190,7 +209,7 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
         if (c.isEquality) {
             // Pose e == v as a relaxed two-sided inequality so the
             // slack-based interior point method keeps strict interiors.
-            double eps = options_.equalityRelaxation;
+            const double eps = kEqualityRelaxation;
             rows->push_back(c.expr - sym::Expr(c.equalsValue + eps));
             names->push_back(c.name + " == upper");
             rows->push_back(sym::Expr(c.equalsValue - eps) - c.expr);
@@ -335,7 +354,7 @@ MpcProblem::runTape(const sym::Tape &tape) const
         // Rung 1: re-execute; the upset was transient unless the hash
         // says otherwise.
         int reexec = 0;
-        while (errors > 0 && reexec < options_.accelMaxReexecutions) {
+        while (errors > 0 && reexec < kAccelMaxReexecutions) {
             stamp(mark, AccelRecoveryRung::Reexecute);
             ++numeric_health_.selfCheck.reexecutions;
             ++reexec;
@@ -388,11 +407,10 @@ MpcProblem::runTape(const sym::Tape &tape) const
             ++numeric_health_.crossChecks;
             if (err > numeric_health_.maxAbsError)
                 numeric_health_.maxAbsError = err;
-            if (err > options_.crossCheckWarnAbs)
+            if (err > kCrossCheckWarnAbs)
                 ++numeric_health_.toleranceWarnings;
-            if (err > options_.crossCheckFailAbs &&
-                err > options_.crossCheckFailRel *
-                          std::abs(golden_out_[i])) {
+            if (err > kCrossCheckFailAbs &&
+                err > kCrossCheckFailRel * std::abs(golden_out_[i])) {
                 ++numeric_health_.toleranceBreaches;
             }
         }

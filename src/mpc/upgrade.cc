@@ -17,6 +17,15 @@ namespace robox::mpc
 namespace
 {
 
+/** Divergence warn band: an absolute per-component difference between
+ *  the incumbent's and the candidate's first commands beyond which a
+ *  comparison counts as a warning. */
+constexpr double kDivergenceWarnAbs = 1e-2;
+
+/** Fault-rate guard: the candidate fails when its bad-solve rate over
+ *  the phase exceeds the incumbent's by more than this margin. */
+constexpr double kFaultRateMargin = 0.10;
+
 /** splitmix64 finalizer — same permutation as mpc/chaos.cc, so canary
  *  selection inherits its statistical quality and portability. */
 std::uint64_t
@@ -331,7 +340,7 @@ UpgradeManager::recordPair(std::size_t i,
         if (!(diff >= 0.0))
             continue; // NaN-poisoned comparison; statuses catch it.
         s.maxAbs = std::max(s.maxAbs, diff);
-        if (diff > options_.upgradeWarnAbs)
+        if (diff > kDivergenceWarnAbs)
             ++s.warns;
         // Cross-check-style conjunction: absolute AND relative, so
         // large-magnitude commands do not trip on honest rounding.
@@ -351,8 +360,7 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
     }
     ++phase_periods_;
 
-    const double alpha =
-        std::clamp(options_.overloadEwmaAlpha, 0.0, 1.0);
+    const double alpha = kCostEwmaAlpha;
     const double scale = candidate_.modeledCostScale > 0.0
                              ? candidate_.modeledCostScale
                              : 1.0;
@@ -433,8 +441,7 @@ UpgradeManager::finishPeriod(const std::vector<double> &batch_cost,
         const double inc_rate =
             static_cast<double>(incumbent_bad_) /
             static_cast<double>(incumbent_solves_);
-        if (cand_rate >
-            inc_rate + std::max(0.0, options_.upgradeFaultRateMargin)) {
+        if (cand_rate > inc_rate + kFaultRateMargin) {
             failCandidate(&UpgradeReport::rollbackFaultRate);
             return;
         }

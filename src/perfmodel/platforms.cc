@@ -20,14 +20,6 @@ PlatformSpec::parallelGflops() const
 }
 
 double
-PlatformSpec::serialGflops() const
-{
-    // GPUs execute the serial recursion at single-lane throughput,
-    // which is what makes small-horizon MPC hostile to them.
-    return clockGhz * flopsPerCyclePerCore * utilization;
-}
-
-double
 predictSeconds(const PlatformSpec &platform,
                const WorkloadProfile &workload)
 {

@@ -8,12 +8,22 @@
  * custom cuBLAS solver (GPUs) on real hardware; that hardware is not
  * available here, so each platform is modeled with a roofline-style
  * estimate driven by the *measured* operation and byte counts of our
- * own solver: an Amdahl split between the serial Riccati recursion and
- * the stage-parallel work, an effective-utilization factor for the
- * platform's peak FLOP rate on small-matrix MPC kernels, a last-level
- * cache capacity test that switches the memory term between cache and
- * DRAM bandwidth, and (for GPUs) a per-solver-iteration kernel-launch
- * overhead. The utilization constants are calibration parameters,
+ * own solver. predictSeconds() charges each IPM iteration the larger
+ * of two terms, plus GPU overheads:
+ *
+ *  - compute: every flop at parallelGflops(), the peak FLOP rate times
+ *    an effective-utilization factor for small-matrix MPC kernels,
+ *    with the cores beyond the first counted at multicoreScaling. On
+ *    CPUs the rate falls toward cacheDegradation in proportion to the
+ *    share of the working set that spills the last-level cache;
+ *  - memory: the spilled share of the iteration's traffic at DRAM
+ *    bandwidth;
+ *  - GPUs only: a synchronization cost per Riccati stage and a
+ *    per-iteration kernel-launch overhead.
+ *
+ * There is no separate serial term: the Riccati recursion's poor
+ * parallelism lives in the utilization and multicore-scaling
+ * constants. The utilization constants are calibration parameters,
  * chosen so the model reproduces the paper's measured baseline
  * ordering and magnitudes (Sec. VIII-B); they are documented in
  * DESIGN.md as substitutions.
@@ -63,17 +73,14 @@ struct PlatformSpec
     double cacheDegradation = 1.0;
     double busyPowerWatts = 10.0;   //!< Power under the MPC load.
 
-    /** Effective GFLOP/s for the parallel portion of the workload. */
+    /** Effective GFLOP/s on the whole workload. */
     double parallelGflops() const;
-    /** Effective GFLOP/s for the serial (single-lane) portion. */
-    double serialGflops() const;
 };
 
 /** The MPC workload profile driving the models. */
 struct WorkloadProfile
 {
     double flopsPerIteration = 0.0;  //!< Scalar ops per IPM iteration.
-    double serialFraction = 0.2;     //!< Riccati share of the flops.
     double bytesPerIteration = 0.0;  //!< Working-set traffic (8 B/word).
     double workingSetBytes = 0.0;    //!< Resident set for cache test.
     int horizon = 1;                 //!< Stages (GPU sync count).

@@ -33,13 +33,6 @@ profileProblem(const mpc::MpcProblem &problem, int iterations,
     profile.horizon = problem.horizon();
     profile.flopsPerIteration = stats.totalOps * scale;
 
-    std::size_t serial_ops =
-        stats.opsPerPhase[static_cast<int>(mdfg::Phase::Factor)] +
-        stats.opsPerPhase[static_cast<int>(mdfg::Phase::Rollout)];
-    profile.serialFraction =
-        stats.totalOps ? static_cast<double>(serial_ops) / stats.totalOps
-                       : 0.0;
-
     // Baselines run in double precision: 8 bytes per word, and the
     // stage intermediates are written once and read once per iteration.
     double ws_bytes_double = 2.0 * wl.bytesWorkingSetPerStage;

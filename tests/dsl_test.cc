@@ -478,6 +478,13 @@ struct BadProgram
     const char *source;
 };
 
+/** Name each case by its label, so ctest's test names stay stable. */
+void
+PrintTo(const BadProgram &p, std::ostream *os)
+{
+    *os << ::testing::PrintToString(std::string(p.label));
+}
+
 class SemaDiagnostics : public ::testing::TestWithParam<BadProgram>
 {
 };

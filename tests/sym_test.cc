@@ -119,7 +119,7 @@ TEST(Diff, QuotientRule)
 
 /** All unary functions, derivative vs. central finite differences. */
 class DiffUnaryProperty
-    : public ::testing::TestWithParam<std::pair<const char *, double>>
+    : public ::testing::TestWithParam<std::pair<std::string, double>>
 {
 };
 

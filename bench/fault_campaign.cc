@@ -22,10 +22,11 @@
  *
  * Deterministic: the campaign seed is fixed, so two runs emit
  * byte-identical JSON. `--smoke` shrinks the sweep to a ~1 s check
- * suitable for CI, diffed byte-for-byte against
- * tests/golden/fault_campaign_smoke.json. The per-point metrics render
- * through stats::StatGroup::toJson(), the same schema the overload
- * storm and the batch controller's overload report use.
+ * that ctest (FaultCampaign.SmokeMatchesGoldenTwice) diffs
+ * byte-for-byte against tests/golden/fault_campaign_smoke.json. The
+ * per-point metrics render through stats::StatGroup::toJson(), the
+ * same schema the overload storm and the batch controller's overload
+ * report use.
  */
 
 #include <algorithm>

@@ -39,9 +39,10 @@
  * decisions are pure functions of virtual time and the upgrade seed,
  * so the upgrade sweep is byte-deterministic like the others.
  *
- * `--smoke` shrinks the sweep to a ~1 s check suitable for CI, which
- * diffs two runs byte-for-byte as a determinism gate. Flags:
- *   --smoke           shrink the sweep for CI
+ * `--smoke` shrinks the sweep to a ~1 s check that ctest
+ * (OverloadStorm.*) diffs byte-for-byte against tests/golden/ at 4 and
+ * 1 worker threads as a determinism gate. Flags:
+ *   --smoke           shrink the sweep to the golden-checked size
  *   --threads N       worker threads (default 4; output is identical
  *                     at any value — that is the determinism gate)
  *   --metrics PATH    also write the report to PATH
@@ -62,7 +63,7 @@
  *                     resume a fresh instance from the latest
  *                     checkpoint. The report must byte-match the
  *                     uninterrupted run — that is the crash-safety
- *                     gate CI diffs against the golden.
+ *                     gate ctest diffs against the golden.
  *   --checkpoint-every N  batches between checkpoints (default 7)
  *   --checkpoint-dir PATH where checkpoint + postmortem files land
  *                     (default ".")

@@ -200,7 +200,7 @@ class StatGroup
      *
      * Entries appear in registration order; doubles render through
      * formatDouble (NaN/Inf as quoted strings), so equal stats produce
-     * byte-identical JSON — the determinism gates in CI diff it.
+     * byte-identical JSON — the golden tests in ctest diff it.
      */
     std::string toJson() const;
 

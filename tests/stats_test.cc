@@ -318,8 +318,8 @@ TEST(StatGroup, ToJsonGoldenSnapshot)
     group.add(&beta);
     group.add(&lat);
 
-    // Byte-exact schema: this is the contract the benches and the CI
-    // golden files rely on. The single sample sits in the upper
+    // Byte-exact schema: this is the contract the benches and the
+    // golden files in tests/golden/ rely on. The single sample sits in the upper
     // bucket; interpolation alone would report quantiles up to the
     // bucket edge (10), the clamp pins them to the observed value.
     const std::string expected =

@@ -230,7 +230,6 @@ double
 IpmSolver::initializeSlacks(const std::vector<Vector> &refs)
 {
     const int n_stages = problem_.horizon();
-    const double floor = kSlackFloor;
     const bool shift = warm_;
 
     // The shift runs in place: block k inherits from block k + 1 (the
@@ -263,13 +262,13 @@ IpmSolver::initializeSlacks(const std::vector<Vector> &refs)
             }
         }
         for (std::size_t i = 0; i < rows; ++i) {
-            double s = std::max(floor, -blk.h[i]);
+            double s = std::max(kSlackFloor, -blk.h[i]);
             double lam = kMuInit / s;
             if (prev) {
                 int j = map ? (*map)[i] : static_cast<int>(i);
                 if (j >= 0) {
-                    s = std::max(floor * 1e-2, prev->s[j]);
-                    lam = std::max(floor * 1e-2, prev->lam[j]);
+                    s = std::max(kSlackFloor * 1e-2, prev->s[j]);
+                    lam = std::max(kSlackFloor * 1e-2, prev->lam[j]);
                 }
             }
             blk.s[i] = s;
@@ -980,7 +979,8 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
 namespace
 {
 
-/** Storage the problem sizes, written as usual; reads below. */
+/** Write side of the problem-sized fields below: the usual encoding;
+ *  the shape matters only to a read. */
 template <class T, class... Shape>
 bool
 sizedField(support::CheckpointWriter &w, const T &x, Shape...)

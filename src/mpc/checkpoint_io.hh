@@ -7,7 +7,8 @@
  * Vector's namespace, so argument-dependent lookup finds them from any
  * transfer function. A vector is a u64 length followed by the bitwise
  * (u64 object representation) doubles, so a restored vector is exactly
- * — not approximately — the one checkpointed.
+ * — not approximately — the one checkpointed. A read refuses a length
+ * the payload's remaining bytes cannot hold before it resizes.
  */
 
 #ifndef ROBOX_MPC_CHECKPOINT_IO_HH
@@ -35,7 +36,7 @@ inline bool
 field(support::CheckpointReader &r, Vector &v)
 {
     std::uint64_t n = 0;
-    if (!r.u64(&n))
+    if (!r.u64(&n) || n > r.remaining() / sizeof(double))
         return false;
     if (v.size() != n)
         v.resize(static_cast<std::size_t>(n));

@@ -130,6 +130,10 @@ class CheckpointReader
     /** True when every payload byte has been consumed. */
     bool atEnd() const { return pos_ == payload_.size(); }
 
+    /** Payload bytes not yet consumed: a stored count that needs more
+     *  is corrupt, whatever the CRC says. */
+    std::size_t remaining() const { return payload_.size() - pos_; }
+
   private:
     bool take(void *out, std::size_t n);
 
@@ -248,7 +252,8 @@ eachField(Io &io, Range &range)
 }
 
 /** A counted list: a u64 length, then `each(io, element)` per element.
- *  A read checks the length against `max` before it resizes `list`. */
+ *  A read checks the length against `max`, and against the bytes left
+ *  (every element takes at least one), before it resizes `list`. */
 template <class Io, class List, class Each>
 bool
 listField(Io &io, List &list, Each each, std::uint64_t max = UINT64_MAX)
@@ -256,8 +261,11 @@ listField(Io &io, List &list, Each each, std::uint64_t max = UINT64_MAX)
     std::uint64_t n = list.size();
     if (!field(io, n) || n > max)
         return false;
-    if constexpr (!std::is_const_v<List>)
+    if constexpr (std::is_same_v<Io, CheckpointReader>) {
+        if (n > io.remaining())
+            return false;
         list.resize(static_cast<std::size_t>(n));
+    }
     for (auto &x : list)
         if (!each(io, x))
             return false;

@@ -176,6 +176,25 @@ TEST(CheckpointFormat, HeaderRejectsEveryCorruptionClass)
     }
 }
 
+TEST(CheckpointFormat, CorruptCountsFailWithoutAllocating)
+{
+    // The CRC catches torn writes, not a corrupt length: a count that
+    // needs more bytes than the payload has left must fail the read,
+    // never size an allocation or throw.
+    support::CheckpointWriter w;
+    w.u64(std::uint64_t{1} << 62);
+    const std::string blob = w.finish();
+
+    FleetTimeline timeline;
+    support::CheckpointReader r1(blob);
+    EXPECT_FALSE(timeline.restore(r1));
+
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    SensorGate gate(model, baseOptions());
+    support::CheckpointReader r2(blob);
+    EXPECT_FALSE(gate.restore(r2));
+}
+
 TEST(CheckpointFormat, AtomicWriteLandsAndOverwrites)
 {
     const std::string path =

@@ -79,7 +79,7 @@ const char *popModeName(PopMode mode);
 /**
  * Outcome of the checked encoders. decode() is total, but encode() is
  * not: an instruction struct populated from untrusted input (an
- * assembler, a fuzzer, a staged upgrade image being rebuilt) can name
+ * assembler, a fuzzer, an image being rebuilt from disk) can name
  * fields the 32-bit layouts cannot hold. encodeChecked() reports that
  * as a status; the classic encode() wraps it and fatal()s, matching
  * the loader-side unpackImageChecked() discipline.

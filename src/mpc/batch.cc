@@ -256,17 +256,12 @@ BatchController::applyBudgets()
     // Floor on the tightened per-robot iteration cap.
     constexpr int min_iters = 3;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        // Budgets target whichever version serves the robot, scaled
-        // from that version's own base options.
-        const bool cand = upgrade_ && upgrade_->servesCandidate(i);
-        const MpcOptions &base =
-            cand ? upgrade_->candidateOptions() : options_;
-        IpmSolver &solver = servingSolver(i);
+        IpmSolver &solver = *solvers_[i];
         if (decisions_[i] == Admit::Degraded) {
             const int cap = std::min(
-                base.maxIterations,
+                options_.maxIterations,
                 std::max(min_iters,
-                         static_cast<int>(base.maxIterations *
+                         static_cast<int>(options_.maxIterations *
                                           scale_[i])));
             solver.setMaxIterations(cap);
             // With an injected cost model (virtual time) the wall
@@ -275,27 +270,13 @@ BatchController::applyBudgets()
             // bitwise. Without one, also bound the real wall cost to
             // this robot's share of the batch budget.
             solver.setSolveDeadline(cost_hook_
-                                        ? base.solveDeadlineSeconds
+                                        ? options_.solveDeadlineSeconds
                                         : scale_[i] * ewma_[i]);
         } else {
             // Restore base budgets: robots admitted at full budget
             // must be bitwise identical to an unloaded serial solve.
-            solver.setMaxIterations(base.maxIterations);
-            solver.setSolveDeadline(base.solveDeadlineSeconds);
-        }
-        if (upgrade_ && upgrade_->doubleSolve()) {
-            // The shadowing version always validates at its own base
-            // budget — its compute rides outside the admission budget
-            // (validation is the price of the rollout), and a robot
-            // that switched versions must not inherit the other
-            // side's tightened caps.
-            IpmSolver &shadow = cand
-                                    ? *solvers_[i]
-                                    : upgrade_->candidateSolver(i);
-            const MpcOptions &sbase =
-                cand ? options_ : upgrade_->candidateOptions();
-            shadow.setMaxIterations(sbase.maxIterations);
-            shadow.setSolveDeadline(sbase.solveDeadlineSeconds);
+            solver.setMaxIterations(options_.maxIterations);
+            solver.setSolveDeadline(options_.solveDeadlineSeconds);
         }
     }
 }
@@ -339,28 +320,10 @@ BatchController::solveOne(std::size_t i)
 {
     if (stall_hook_)
         stall_hook_(i);
-    IpmSolver &serving = servingSolver(i);
-    results_[i] = serving.solve((*states_)[i], (*refs_)[i]);
-    if (upgrade_ && upgrade_->doubleSolve()) {
-        // Shadow solve: the non-serving version solves a copy of the
-        // same inputs so divergence can be scored and both versions
-        // stay warm. Its own try/catch keeps a buggy candidate from
-        // ever quarantining the serving result.
-        IpmSolver &shadow = upgrade_->servesCandidate(i)
-                                ? *solvers_[i]
-                                : upgrade_->candidateSolver(i);
-        const IpmSolver::Result *shadow_result = nullptr;
-        try {
-            shadow_result = &shadow.solve((*states_)[i], (*refs_)[i]);
-        } catch (...) {
-        }
-        upgrade_->recordPair(i, results_[i],
-                             serving.lastStats().solveSeconds,
-                             shadow_result,
-                             shadow.lastStats().solveSeconds);
-    }
+    IpmSolver &solver = *solvers_[i];
+    results_[i] = solver.solve((*states_)[i], (*refs_)[i]);
     if (statusUsable(results_[i].status)) {
-        backups_[i].accept(serving.inputTrajectory());
+        backups_[i].accept(solver.inputTrajectory());
         if (decisions_[i] == Admit::Degraded)
             results_[i].status = SolveStatus::DegradedBudget;
     } else {
@@ -461,7 +424,7 @@ BatchController::finishLinkPeriod()
         const bool solved = decisions_[i] == Admit::Full ||
                             decisions_[i] == Admit::Degraded;
         if (solved && statusUsable(results_[i].status))
-            link_->sendPlan(i, servingSolver(i).inputTrajectory());
+            link_->sendPlan(i, solvers_[i]->inputTrajectory());
     }
     link_->finishPeriod();
 
@@ -499,18 +462,9 @@ BatchController::updateCostModel()
         switch (decisions_[i]) {
           case Admit::Full:
           case Admit::Degraded: {
-            const double measured =
-                servingSolver(i).lastStats().solveSeconds;
-            // Under a virtual-time hook a canary/committed robot's
-            // modeled cost carries the candidate's modeledCostScale,
-            // so the admission ladder (and the latency guard) see the
-            // candidate's cost profile deterministically. Measured
-            // wall time already is the candidate's cost.
+            const double measured = solvers_[i]->lastStats().solveSeconds;
             const double cost =
-                cost_hook_ ? cost_hook_(i, measured) *
-                                 (upgrade_ ? upgrade_->costScale(i)
-                                           : 1.0)
-                           : measured;
+                cost_hook_ ? cost_hook_(i, measured) : measured;
             if (!(cost >= 0.0) || !std::isfinite(cost))
                 break; // Refuse NaN/negative costs from a buggy hook.
             batch_cost_[i] = cost;
@@ -623,24 +577,6 @@ BatchController::recordTimeline()
         prev_decisions_[i] = d;
     }
 
-    // Drain the upgrade state machine's queued markers (phase starts,
-    // canary switches, commits, rollbacks) onto the same virtual-time
-    // axis; queue order is coordinator-only and thus deterministic.
-    if (upgrade_) {
-        if (timeline_enabled_) {
-            for (const UpgradeManager::PendingMarker &p :
-                 upgrade_->pendingMarkers()) {
-                FleetTimeline::Marker m;
-                m.robot = p.robot;
-                m.batch = batch;
-                m.atSeconds = virtual_now_;
-                m.kind = p.kind;
-                timeline_.recordMarker(m);
-            }
-        }
-        upgrade_->clearPendingMarkers();
-    }
-
     // Advance the virtual clock by one batch period: the configured
     // budget when admission is on (the fleet runs at a fixed rate),
     // otherwise the longest modeled solve in the batch.
@@ -733,7 +669,7 @@ BatchController::solveAll(const std::vector<Vector> &states,
         const bool solved = decisions_[i] == Admit::Full ||
                             decisions_[i] == Admit::Degraded;
         if (solved) {
-            const SolveStats &st = servingSolver(i).lastStats();
+            const SolveStats &st = solvers_[i]->lastStats();
             report_.totalIterations +=
                 static_cast<std::uint64_t>(st.iterations);
             report_.totalKktFlops += st.riccatiFlops;
@@ -815,43 +751,12 @@ BatchController::solveAll(const std::vector<Vector> &states,
         ov.link = link_->report();
 
     updateCostModel();
-    finishUpgradePeriod();
     recordTimeline();
     recordFlight();
 
     states_ = nullptr;
     refs_ = nullptr;
     return results_;
-}
-
-void
-BatchController::finishUpgradePeriod()
-{
-    if (!upgrade_)
-        return;
-    upgrade_->finishPeriod(batch_cost_, cost_hook_ != nullptr);
-    report_.upgrade = upgrade_->report();
-}
-
-UpgradeScheduleStatus
-BatchController::scheduleUpgrade(const UpgradeCandidate &candidate)
-{
-    if (!upgrade_)
-        upgrade_ = std::make_unique<UpgradeManager>(options_,
-                                                    solvers_.size());
-    const UpgradeScheduleStatus status =
-        upgrade_->schedule(candidate, solvers_[0]->problem());
-    report_.upgrade = upgrade_->report();
-    return status;
-}
-
-void
-BatchController::abortUpgrade()
-{
-    if (!upgrade_)
-        return;
-    upgrade_->abortToIncumbent();
-    report_.upgrade = upgrade_->report();
 }
 
 void
@@ -893,8 +798,6 @@ BatchController::resetAll()
     }
     if (link_)
         link_->reset();
-    if (upgrade_)
-        upgrade_->resetSolvers();
 }
 
 namespace
@@ -915,9 +818,6 @@ transferSelfCheck(Io &io, SelfCheck &sc)
 void
 BatchController::coldStart()
 {
-    // Drop any upgrade state machine first: cold start means the
-    // as-constructed controller, which has no candidate staged.
-    upgrade_.reset();
     resetAll();
     const std::size_t n = solvers_.size();
     report_ = BatchReport();
@@ -1017,35 +917,15 @@ void
 BatchController::checkpoint(support::CheckpointWriter &w) const
 {
     transfer(w, *this);
-    w.boolean(upgrade_ != nullptr);
-    if (upgrade_)
-        upgrade_->checkpoint(w);
 }
 
 bool
-BatchController::restore(support::CheckpointReader &r,
-                         const UpgradeCandidate *candidate)
+BatchController::restore(support::CheckpointReader &r)
 {
-    auto fail = [&] {
-        coldStart();
-        return false;
-    };
-    if (r.status() != support::CheckpointStatus::Ok || !transfer(r, *this))
-        return fail();
-    bool has_upgrade = false;
-    if (!r.boolean(&has_upgrade))
-        return fail();
-    upgrade_.reset();
-    report_.upgrade = UpgradeReport();
-    if (has_upgrade) {
-        auto manager = std::make_unique<UpgradeManager>(
-            options_, solvers_.size());
-        if (!manager->restore(r, candidate))
-            return fail();
-        upgrade_ = std::move(manager);
-        report_.upgrade = upgrade_->report();
-    }
-    return true;
+    if (r.status() == support::CheckpointStatus::Ok && transfer(r, *this))
+        return true;
+    coldStart();
+    return false;
 }
 
 std::string
@@ -1190,62 +1070,6 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
     scalars.push_back(count("linkDownRobotPeriods",
                             "robot-periods with the link down",
                             ln.linkDownRobotPeriods));
-    // Live-upgrade rollout accounting (mpc/upgrade.hh): all counters
-    // are virtual-time/decision-derived, so they belong in the
-    // replay-stable snapshot. All zero until an upgrade is scheduled.
-    const UpgradeReport &up = report.upgrade;
-    scalars.push_back(count("upgradeVersion",
-                            "serving controller version",
-                            up.version));
-    scalars.push_back(count("upgradePhase",
-                            "rollout phase (UpgradePhase value)",
-                            up.phase));
-    scalars.push_back(count("upgradesScheduled",
-                            "scheduleUpgrade() attempts",
-                            up.scheduled));
-    scalars.push_back(count("upgradeRejectedImages",
-                            "candidate images verifyImage refused",
-                            up.rejectedImages));
-    scalars.push_back(count("upgradeRejectedIncompatible",
-                            "candidates with a mismatched shape",
-                            up.rejectedIncompatible));
-    scalars.push_back(count("upgradesCommitted", "fleet-wide commits",
-                            up.committed));
-    scalars.push_back(count("upgradesRolledBack",
-                            "canary-phase rollbacks", up.rolledBack));
-    scalars.push_back(count("upgradesRejected",
-                            "shadow-phase rejections",
-                            up.rejectedCandidates));
-    scalars.push_back(count("upgradeShadowSolves",
-                            "incumbent/candidate solve pairs",
-                            up.shadowSolves));
-    scalars.push_back(count("upgradeCanaryRobots",
-                            "size of the last canary set",
-                            up.canaryRobots));
-    scalars.push_back(count("upgradeDivergenceWarns",
-                            "command components past the warn band",
-                            up.divergenceWarns));
-    scalars.push_back(count("upgradeDivergenceFails",
-                            "command components past the fail band",
-                            up.divergenceFails));
-    scalars.push_back(scalar("upgradeMaxDivergence",
-                             "largest |candidate - incumbent| command",
-                             up.maxDivergence));
-    scalars.push_back(scalar("upgradeIncumbentCostEwma",
-                             "incumbent fleet EWMA modeled cost",
-                             up.incumbentCostEwma));
-    scalars.push_back(scalar("upgradeCandidateCostEwma",
-                             "candidate fleet EWMA modeled cost",
-                             up.candidateCostEwma));
-    scalars.push_back(count("upgradeRollbackDivergence",
-                            "guard trips: command divergence",
-                            up.rollbackDivergence));
-    scalars.push_back(count("upgradeRollbackFaultRate",
-                            "guard trips: fault-rate regression",
-                            up.rollbackFaultRate));
-    scalars.push_back(count("upgradeRollbackLatency",
-                            "guard trips: latency budget",
-                            up.rollbackLatency));
     if (include_timing) {
         // Environment-dependent fields: worker-pool size and wall
         // clocks vary across machines and thread counts, so the

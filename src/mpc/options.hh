@@ -11,8 +11,6 @@
 #ifndef ROBOX_MPC_OPTIONS_HH
 #define ROBOX_MPC_OPTIONS_HH
 
-#include <cstdint>
-
 namespace robox::mpc
 {
 
@@ -31,7 +29,7 @@ enum class Integrator
 };
 
 /** EWMA smoothing factor of the per-robot solve-cost model that feeds
- *  batch admission, and of the upgrade manager's per-version costs. */
+ *  batch admission. */
 inline constexpr double kCostEwmaAlpha = 0.3;
 
 /** Meta-parameters of one MPC controller instance. */
@@ -225,45 +223,6 @@ struct MpcOptions
      * with fixedPointTapes.
      */
     bool accelSelfCheck = false;
-
-    /**
-     * Live-upgrade staging (mpc/upgrade.hh): control periods a
-     * scheduled candidate controller shadow-solves copies of the live
-     * inputs — zero effect on commands — before any robot switches
-     * over. See the "Live upgrades" section of ARCHITECTURE.md.
-     */
-    int upgradeShadowPeriods = 8;
-
-    /** Control periods the deterministic canary fraction serves on the
-     *  candidate before the fleet-wide commit. */
-    int upgradeCanaryPeriods = 8;
-
-    /** Fraction of the fleet selected (splitmix64 on upgradeSeed and
-     *  the robot index) as canaries; clamped to (0, 1], and at least
-     *  one robot is always selected. */
-    double upgradeCanaryFraction = 0.25;
-
-    /** Seed for the deterministic canary selection hash. */
-    std::uint64_t upgradeSeed = 0;
-
-    /**
-     * Divergence fail band: a compared command component is a breach
-     * when it diverges by more than upgradeFailAbs AND more than
-     * upgradeFailRel x the incumbent magnitude. Any breach rejects a
-     * shadowing candidate or rolls back a canarying one.
-     */
-    double upgradeFailAbs = 0.25;
-
-    /** Relative half of the divergence fail band. */
-    double upgradeFailRel = 5e-2;
-
-    /**
-     * Latency guard: during Canary, the candidate is rolled back when
-     * its fleet-level EWMA solve cost exceeds this multiple of the
-     * incumbent's (after at least two canary periods). Not armed in
-     * Shadow, whose candidate solves run outside the admission budget.
-     */
-    double upgradeMaxCostRatio = 2.0;
 };
 
 } // namespace robox::mpc

@@ -40,15 +40,6 @@ toString(TimelineMarker marker)
       case TimelineMarker::StaleDemoted: return "stale-demoted";
       case TimelineMarker::LinkDown: return "link-down";
       case TimelineMarker::LinkUp: return "link-up";
-      case TimelineMarker::UpgradeShadowStart:
-        return "upgrade-shadow-start";
-      case TimelineMarker::UpgradeCanaryStart:
-        return "upgrade-canary-start";
-      case TimelineMarker::UpgradeCommitted: return "upgrade-committed";
-      case TimelineMarker::UpgradeRolledBack:
-        return "upgrade-rolled-back";
-      case TimelineMarker::UpgradeRejected: return "upgrade-rejected";
-      case TimelineMarker::CanarySwitched: return "canary-switched";
     }
     return "?";
 }
@@ -58,8 +49,8 @@ namespace
 
 /** Link events get their own trace category so a viewer can filter
  *  comms health separately from admission decisions. */
-bool
-isLinkMarker(TimelineMarker kind)
+const char *
+markerCategory(TimelineMarker kind)
 {
     switch (kind) {
       case TimelineMarker::PlanMissed:
@@ -67,44 +58,11 @@ isLinkMarker(TimelineMarker kind)
       case TimelineMarker::StaleDemoted:
       case TimelineMarker::LinkDown:
       case TimelineMarker::LinkUp:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Live-upgrade events likewise get their own category so rollout
- *  campaigns filter separately from admission and comms. */
-bool
-isUpgradeMarker(TimelineMarker kind)
-{
-    switch (kind) {
-      case TimelineMarker::UpgradeShadowStart:
-      case TimelineMarker::UpgradeCanaryStart:
-      case TimelineMarker::UpgradeCommitted:
-      case TimelineMarker::UpgradeRolledBack:
-      case TimelineMarker::UpgradeRejected:
-      case TimelineMarker::CanarySwitched:
-        return true;
-      default:
-        return false;
-    }
-}
-
-const char *
-markerCategory(TimelineMarker kind)
-{
-    if (isLinkMarker(kind))
         return "link";
-    if (isUpgradeMarker(kind))
-        return "upgrade";
-    return "admission";
+      default:
+        return "admission";
+    }
 }
-
-} // namespace
-
-namespace
-{
 
 constexpr int kFleetPid = 0;
 constexpr double kMicrosPerSecond = 1e6;
@@ -181,8 +139,7 @@ FleetTimeline::transfer(Io &io, Self &self)
     auto marker = [](auto &io, auto &m) {
         return field(io, m.robot) && field(io, m.batch) &&
                field(io, m.atSeconds) &&
-               enumField<std::uint8_t>(io, m.kind,
-                                       TimelineMarker::CanarySwitched) &&
+               enumField<std::uint8_t>(io, m.kind, TimelineMarker::LinkUp) &&
                enumField<std::uint8_t>(io, m.from, ServiceRung::BadInput) &&
                enumField<std::uint8_t>(io, m.to, ServiceRung::BadInput);
     };

@@ -61,16 +61,6 @@ enum class TimelineMarker : std::uint8_t
     StaleDemoted,      //!< Measurement aged past the staleness bound.
     LinkDown,          //!< Heartbeat bound exceeded; link declared down.
     LinkUp,            //!< Uplink delivery resumed after a down spell.
-
-    // Live-upgrade events (mpc/upgrade.hh); exported under the
-    // "upgrade" trace category. Campaign-level events land on robot
-    // 0's lane; CanarySwitched is per-robot.
-    UpgradeShadowStart, //!< Candidate accepted; shadow phase began.
-    UpgradeCanaryStart, //!< Canary fraction switched to the candidate.
-    UpgradeCommitted,   //!< Fleet-wide switch to the candidate.
-    UpgradeRolledBack,  //!< Guard tripped; incumbent restored.
-    UpgradeRejected,    //!< Candidate rejected while still shadowing.
-    CanarySwitched,     //!< This robot now serves the candidate.
 };
 
 const char *toString(TimelineMarker marker);

@@ -56,8 +56,9 @@ enum class CheckpointStatus
 const char *toString(CheckpointStatus status);
 
 /** Current checkpoint format version. Version 2 dropped
- *  BatchController's timeline-enablement flag from the payload. */
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+ *  BatchController's timeline-enablement flag from the payload, and
+ *  version 3 the live-upgrade flag and state that ended it. */
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Checkpoint magic, "RBCP" little-endian. */
 inline constexpr std::uint32_t kCheckpointMagic = 0x50434252u;

@@ -83,7 +83,9 @@ template <class Io, class Self>
 bool
 BackupPlan::transfer(Io &io, Self &self)
 {
-    return field(io, self.plan_) && field(io, self.cursor_) &&
+    // command() reads nu entries of whichever stage it replays.
+    const auto nu = static_cast<std::size_t>(self.model_->nu());
+    return sizedField(io, self.plan_, nu) && field(io, self.cursor_) &&
            field(io, self.consecutive_) && field(io, self.total_);
 }
 

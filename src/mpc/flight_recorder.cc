@@ -94,7 +94,8 @@ FlightRecorder::transfer(Io &io, Self &self)
 {
     const std::uint64_t capacity = self.ring_.size();
     if (!support::expectField(io, capacity) || !field(io, self.total_) ||
-        !field(io, self.count_) || self.count_ > capacity)
+        !field(io, self.count_) || self.count_ > capacity ||
+        self.count_ > self.total_)
         return false;
     for (std::size_t i = 0; i < self.count_; ++i) {
         auto &rec = self.ring_[self.slot(i)];

@@ -979,29 +979,6 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
 namespace
 {
 
-/** Write side of the problem-sized fields below: the usual encoding;
- *  the shape matters only to a read. */
-template <class T, class... Shape>
-bool
-sizedField(support::CheckpointWriter &w, const T &x, Shape...)
-{
-    return field(w, x);
-}
-
-/** A vector whose length the problem fixes: the read fails unless the
- *  stored length is `n`, or 0 when `may_be_empty`. */
-bool
-sizedField(support::CheckpointReader &r, Vector &v, std::size_t n,
-           bool may_be_empty)
-{
-    std::uint64_t stored = 0;
-    if (!r.u64(&stored) || (stored != n && !(may_be_empty && stored == 0)))
-        return false;
-    if (v.size() != stored)
-        v.resize(static_cast<std::size_t>(stored));
-    return r.f64Array(v.data(), v.size());
-}
-
 /** A trajectory of `count` vectors of length `dim`, or none at all. */
 bool
 sizedField(support::CheckpointReader &r, std::vector<Vector> &vs,
@@ -1012,7 +989,7 @@ sizedField(support::CheckpointReader &r, std::vector<Vector> &vs,
         return false;
     vs.assign(static_cast<std::size_t>(n), Vector(dim));
     for (Vector &v : vs)
-        if (!sizedField(r, v, dim, false))
+        if (!sizedField(r, v, dim))
             return false;
     return true;
 }

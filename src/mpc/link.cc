@@ -529,15 +529,19 @@ bool
 FleetLink::transfer(Io &io, Self &self)
 {
     using support::enumField;
+    // An uplink may carry a malformed measurement, which classify()
+    // serves as is; everything the link computes with is model-sized.
+    const auto nx = static_cast<std::size_t>(self.model_->nx());
+    const auto nu = static_cast<std::size_t>(self.model_->nu());
     auto uplink = [](auto &io, auto &m) {
         return field(io, m.seq) && field(io, m.sent) &&
                field(io, m.deliverAt) && field(io, m.ackSeq) &&
                field(io, m.duplicate) && field(io, m.state);
     };
-    auto downlink = [](auto &io, auto &m) {
+    auto downlink = [nu](auto &io, auto &m) {
         return field(io, m.seq) && field(io, m.sent) &&
                field(io, m.deliverAt) && field(io, m.duplicate) &&
-               field(io, m.plan);
+               sizedField(io, m.plan, nu);
     };
     if (!support::expectField(io, std::uint64_t{self.endpoints_.size()}) ||
         !field(io, self.period_))
@@ -546,10 +550,11 @@ FleetLink::transfer(Io &io, Self &self)
         auto &e = self.endpoints_[i];
         if (!support::listField(io, e.uplinkQueue, uplink) ||
             !support::listField(io, e.downlinkQueue, downlink) ||
-            !field(io, e.lastFreshSeq) || !field(io, e.lastFreshState) ||
+            !field(io, e.lastFreshSeq) ||
+            !sizedField(io, e.lastFreshState, nx, true) ||
             !field(io, e.lastAnyDelivery) ||
             !field(io, e.maxUpSeqDelivered) || !field(io, e.lastPlanSeq) ||
-            !field(io, e.lastPlan) || !field(io, e.ackedSeq) ||
+            !sizedField(io, e.lastPlan, nu) || !field(io, e.ackedSeq) ||
             !field(io, e.nextRetry) || !field(io, e.retryInterval) ||
             !field(io, e.planSentThisPeriod) || !field(io, e.bufferedSeq) ||
             !field(io, e.maxDownSeqDelivered) || !field(io, e.latency) ||

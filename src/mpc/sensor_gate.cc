@@ -134,7 +134,11 @@ template <class Io, class Self>
 bool
 SensorGate::transfer(Io &io, Self &self)
 {
-    return field(io, self.baseline_) && field(io, self.has_baseline_) &&
+    // check() reads nx baseline entries whenever has_baseline_ is set.
+    const auto nx = static_cast<std::size_t>(self.model_->nx());
+    return sizedField(io, self.baseline_, nx, true) &&
+           field(io, self.has_baseline_) &&
+           (!self.has_baseline_ || self.baseline_.size() == nx) &&
            field(io, self.frozen_streak_) && field(io, self.jump_streak_) &&
            support::enumField<std::uint32_t>(io, self.last_verdict_,
                                              SensorVerdict::Frozen) &&

@@ -22,6 +22,7 @@
 #include "mpc/batch.hh"
 #include "mpc/chaos.hh"
 #include "mpc/checkpoint_io.hh"
+#include "mpc/failsafe.hh"
 #include "mpc/flight_recorder.hh"
 #include "mpc/sensor_gate.hh"
 #include "mpc/simulate.hh"
@@ -193,6 +194,65 @@ TEST(CheckpointFormat, CorruptCountsFailWithoutAllocating)
     SensorGate gate(model, baseOptions());
     support::CheckpointReader r2(blob);
     EXPECT_FALSE(gate.restore(r2));
+}
+
+TEST(CheckpointFormat, WrongLengthStateFailsRestore)
+{
+    // A CRC-valid payload can also hold a length the model cannot
+    // produce. The restore must fail on it, or a later read of nx
+    // states or nu inputs runs past the stored vector.
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    ASSERT_EQ(2, model.nx());
+    ASSERT_EQ(1, model.nu());
+
+    // A sensor gate whose 1-state baseline is marked present.
+    support::CheckpointWriter g;
+    field(g, Vector{0.5}); // baseline_
+    g.boolean(true);       // has_baseline_
+    g.i32(0);              // frozen streak
+    g.i32(0);              // jump streak
+    g.u32(0);              // last verdict: Ok
+    g.u64(0);              // rejected
+    SensorGate gate(model, baseOptions());
+    support::CheckpointReader r1(g.finish());
+    EXPECT_FALSE(gate.restore(r1));
+    EXPECT_EQ(SensorVerdict::Ok, gate.check(Vector{0.0, 0.0}));
+
+    // A backup plan with one empty stage.
+    support::CheckpointWriter b;
+    b.u64(1); // stages
+    b.u64(0); // stage 0 length
+    b.u64(0); // cursor
+    b.i32(0); // consecutive
+    b.i32(0); // total
+    BackupPlan backup(model);
+    support::CheckpointReader r2(b.finish());
+    EXPECT_FALSE(backup.restore(r2));
+    EXPECT_FALSE(backup.available());
+
+    // A flight recorder holding more records than were ever recorded.
+    support::CheckpointWriter f;
+    f.u64(4); // capacity
+    f.u64(1); // total recorded
+    f.u64(2); // retained
+    for (int k = 0; k < 2; ++k) {
+        FlightRecord rec;
+        rec.period = static_cast<std::uint64_t>(k);
+        f.u64(rec.period);
+        f.i32(rec.robot);
+        f.u32(static_cast<std::uint32_t>(rec.status));
+        f.i32(rec.rung);
+        f.i32(rec.sensorVerdict);
+        f.i32(rec.linkService);
+        f.boolean(rec.degraded);
+        field(f, rec.state);
+        field(f, rec.command);
+    }
+    FlightRecorder recorder;
+    recorder.configure(4);
+    support::CheckpointReader r3(f.finish());
+    EXPECT_FALSE(recorder.restore(r3));
+    EXPECT_EQ(0u, recorder.dropped());
 }
 
 TEST(CheckpointFormat, AtomicWriteLandsAndOverwrites)

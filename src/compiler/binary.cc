@@ -56,6 +56,39 @@ imageStatusName(ImageStatus status)
     return "?";
 }
 
+std::uint32_t
+imageChecksum(const std::vector<std::uint8_t> &image)
+{
+    // CRC over everything except the checksum word itself, chained
+    // across the gap so no scratch copy is needed.
+    std::uint32_t c = support::crc32(image.data(), kImageCrcOffset);
+    return support::crc32(image.data() + kImageHeaderBytes,
+                          image.size() - kImageHeaderBytes, c);
+}
+
+ImageStatus
+verifyImage(const std::vector<std::uint8_t> &image)
+{
+    if (image.size() < kImageHeaderBytes)
+        return ImageStatus::Truncated;
+    std::size_t cursor = 0;
+    if (getWord(image, cursor) != kImageMagic)
+        return ImageStatus::BadMagic;
+    if (getWord(image, cursor) != kImageVersion)
+        return ImageStatus::BadVersion;
+    const std::uint64_t n_compute = getWord(image, cursor);
+    const std::uint64_t n_comm = getWord(image, cursor);
+    const std::uint64_t n_memory = getWord(image, cursor);
+    const std::uint64_t expected =
+        kImageHeaderBytes + 4 * (n_compute + n_comm + n_memory);
+    if (image.size() != expected)
+        return ImageStatus::BadSectionLength;
+    // The cursor now sits on the checksum word (kImageCrcOffset).
+    if (getWord(image, cursor) != imageChecksum(image))
+        return ImageStatus::BadChecksum;
+    return ImageStatus::Ok;
+}
+
 std::vector<std::uint8_t>
 packImage(const IsaStreams &streams)
 {

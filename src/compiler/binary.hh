@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "compiler/codegen.hh"
-#include "support/crc32.hh"
 
 namespace robox::compiler
 {
@@ -64,57 +63,16 @@ std::vector<std::uint8_t> packImage(const IsaStreams &streams);
 ImageStatus unpackImageChecked(const std::vector<std::uint8_t> &image,
                                IsaStreams &out);
 
-/** Recompute the CRC-32 an intact image would carry in its header.
- *  Header-inline (like verifyImage below) so link-layer-free callers
- *  can use it too. */
-inline std::uint32_t
-imageChecksum(const std::vector<std::uint8_t> &image)
-{
-    // CRC over everything except the checksum word itself, chained
-    // across the gap so no scratch copy is needed.
-    std::uint32_t c = support::crc32(image.data(), kImageCrcOffset);
-    return support::crc32(image.data() + kImageHeaderBytes,
-                          image.size() - kImageHeaderBytes, c);
-}
+/** Recompute the CRC-32 an intact image would carry in its header. */
+std::uint32_t imageChecksum(const std::vector<std::uint8_t> &image);
 
 /**
  * Integrity-check an image without decoding it: header fields and
  * CRC-32 only. Cheap enough to re-run against the resident image
  * mid-flight, which is how program-store corruption is detected after
  * load time.
- *
- * Defined inline so lower layers (notably mpc/upgrade, which must
- * refuse a corrupt candidate image before staging it) can verify an
- * image without linking the compiler library — the compiler depends
- * on mpc through the translator, so the reverse link would be a
- * cycle. Only support::crc32 is needed at link time.
  */
-inline ImageStatus
-verifyImage(const std::vector<std::uint8_t> &image)
-{
-    if (image.size() < kImageHeaderBytes)
-        return ImageStatus::Truncated;
-    auto word = [&](std::size_t at) {
-        return static_cast<std::uint32_t>(image[at]) |
-               static_cast<std::uint32_t>(image[at + 1]) << 8 |
-               static_cast<std::uint32_t>(image[at + 2]) << 16 |
-               static_cast<std::uint32_t>(image[at + 3]) << 24;
-    };
-    if (word(0) != kImageMagic)
-        return ImageStatus::BadMagic;
-    if (word(4) != kImageVersion)
-        return ImageStatus::BadVersion;
-    const std::uint64_t n_compute = word(8);
-    const std::uint64_t n_comm = word(12);
-    const std::uint64_t n_memory = word(16);
-    const std::uint64_t expected =
-        kImageHeaderBytes + 4 * (n_compute + n_comm + n_memory);
-    if (image.size() != expected)
-        return ImageStatus::BadSectionLength;
-    if (word(kImageCrcOffset) != imageChecksum(image))
-        return ImageStatus::BadChecksum;
-    return ImageStatus::Ok;
-}
+ImageStatus verifyImage(const std::vector<std::uint8_t> &image);
 
 /**
  * Parse a binary image back into instruction streams. fatal() on any

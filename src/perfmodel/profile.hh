@@ -24,8 +24,9 @@ namespace robox::perfmodel
  * @param problem The compiled problem.
  * @param iterations IPM iterations per controller invocation (use the
  *        solver's measured count, or the benchmark default).
- * @param slice_stages Stage slice used to build the M-DFG (scaled back
- *        to the full horizon exactly, as in the accelerator flow).
+ * @param slice_stages Stage slice used to build the M-DFG (scaled
+ *        linearly to the full horizon, as in the accelerator flow,
+ *        which overstates op counts by 0.08-0.45% at N = 256-1024).
  *        Clamped into [1, horizon]; non-positive values additionally
  *        trip a debug assertion.
  */

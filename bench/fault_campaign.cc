@@ -124,7 +124,7 @@ runCampaign(const robox::dsl::ModelSpec &model,
     const int settle = steps / 3; // Tracking error ignores the approach.
 
     for (int step = 0; step < steps; ++step) {
-        const IpmSolver::Result &r = solver.solve(x, ref);
+        IpmSolver::Result r = solver.solve(x, ref);
         const SolveStats &stats = solver.lastStats();
         result.saturations += stats.numeric.saturations;
         if (stats.numeric.faultsInjected > 0) {
@@ -140,14 +140,9 @@ runCampaign(const robox::dsl::ModelSpec &model,
             pending.clear();
         }
 
-        Vector u = r.u0;
-        if (robox::mpc::statusUsable(r.status)) {
-            backup.accept(solver.inputTrajectory());
-        } else {
+        if (!backup.settle(r, solver))
             ++result.degradedSteps;
-            u = backup.command();
-        }
-        x = plant.step(x, u, ref, opt.dt);
+        x = plant.step(x, r.u0, ref, opt.dt);
         if (step >= settle)
             result.maxTrackingError = std::max(result.maxTrackingError,
                                                std::abs(x[0] - ref[0]));
@@ -206,19 +201,14 @@ runSelfCheckCampaign(const robox::dsl::ModelSpec &model,
     const int settle = steps / 3;
 
     for (int step = 0; step < steps; ++step) {
-        const IpmSolver::Result &r = solver.solve(x, ref);
+        IpmSolver::Result r = solver.solve(x, ref);
         result.selfCheck.merge(solver.lastStats().numeric.selfCheck);
         if (r.status == SolveStatus::AccelFault)
             ++result.accelFaultSolves;
 
-        Vector u = r.u0;
-        if (robox::mpc::statusUsable(r.status)) {
-            backup.accept(solver.inputTrajectory());
-        } else {
+        if (!backup.settle(r, solver))
             ++result.degradedSteps;
-            u = backup.command();
-        }
-        x = plant.step(x, u, ref, opt.dt);
+        x = plant.step(x, r.u0, ref, opt.dt);
         if (step >= settle)
             result.maxTrackingError = std::max(result.maxTrackingError,
                                                std::abs(x[0] - ref[0]));
@@ -227,7 +217,7 @@ runSelfCheckCampaign(const robox::dsl::ModelSpec &model,
     result.finalTrackingError = std::abs(x[0] - ref[0]);
     if (result.faultsInjected > 0)
         result.detectionCoverage =
-            static_cast<double>(result.selfCheck.detections()) /
+            static_cast<double>(result.selfCheck.parityErrors) /
             static_cast<double>(result.faultsInjected);
     return result;
 }
@@ -427,7 +417,7 @@ main(int argc, char **argv)
     // so anything below that is a detection-layer regression).
     const SelfCheckResult &sc_clean = selfcheck.front();
     if (sc_clean.faultsInjected != 0 ||
-        sc_clean.selfCheck.detections() != 0 ||
+        sc_clean.selfCheck.parityErrors != 0 ||
         sc_clean.accelFaultSolves != 0) {
         std::fprintf(stderr,
                      "fault_campaign: zero-rate self-check campaign "

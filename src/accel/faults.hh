@@ -12,12 +12,12 @@
  * replays bitwise identically regardless of thread scheduling or the
  * order in which robots are solved.
  *
- * Wiring: the functional simulator (accel/functional.hh) takes an
- * optional FaultInjector and filters register-file writes, scratchpad
- * preloads, and interconnect deliveries through access(). The solver's
- * fixed-point tape path attaches the same engine through
- * FaultInjector::tapeHook() (see MpcProblem::setTapeFaultHook), which
- * upsets the quantized environment words before each tape evaluation.
+ * Wiring: the solver's fixed-point tape path attaches the engine
+ * through FaultInjector::tapeHook() (see MpcProblem::setTapeFaultHook),
+ * which upsets the quantized environment words before each tape
+ * evaluation. With MpcOptions::accelSelfCheck on, MpcProblem's
+ * self-check ladder (fixed/selfcheck.hh) catches and repairs what it
+ * strikes.
  */
 
 #ifndef ROBOX_ACCEL_FAULTS_HH
@@ -28,17 +28,18 @@
 #include <vector>
 
 #include "fixed/fixed.hh"
-#include "fixed/selfcheck.hh"
 
 namespace robox::accel
 {
 
-// FaultSite and faultSiteName now live in fixed/selfcheck.hh (below
-// both mpc and accel) so the solver's self-checking tape path can name
-// sites without depending on the accelerator library. These
-// using-declarations keep accel::FaultSite spelling valid.
-using robox::FaultSite;
-using robox::faultSiteName;
+/** Storage structure a fault strikes. Values are bit positions so a
+ *  campaign can select sites with a mask (FaultCampaign::siteMask). */
+enum class FaultSite : std::uint32_t
+{
+    RegisterFile = 1u << 0, //!< CU-local result registers.
+    Scratchpad = 1u << 1,   //!< Access-engine scratchpad words.
+    Interconnect = 1u << 2, //!< Messages between CUs.
+};
 
 /**
  * Specification of one reproducible fault campaign.
@@ -116,10 +117,10 @@ class FaultInjector
      *
      * @param value The fault-free word being stored/moved.
      * @param site Which structure the word lives in.
-     * @param cycle Logical time of the access (instruction id for the
-     *              functional sim, tape-eval counter for the solver
-     *              hook). Any monotone access index works as long as
-     *              both runs of a campaign use the same convention.
+     * @param cycle Logical time of the access (the tape-eval counter
+     *              for the solver hook). Any monotone access index
+     *              works as long as both runs of a campaign use the
+     *              same convention.
      * @param word Address of the access within the site.
      */
     Fixed access(Fixed value, FaultSite site, std::uint64_t cycle,

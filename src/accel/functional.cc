@@ -5,10 +5,10 @@
 
 #include "accel/functional.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "compiler/mapper.hh"
 #include "mdfg/mdfg.hh"
@@ -61,16 +61,12 @@ apply(const sym::Tape::Instr &in, Fixed a, Fixed b, const FixedMath &fm)
 
 FunctionalResult
 executeTapeMapped(const sym::Tape &tape, const std::vector<Fixed> &inputs,
-                  const FixedMath &fm, const AcceleratorConfig &config,
-                  FaultInjector *faults, const SelfCheckPolicy *selfcheck,
-                  std::uint64_t faultCycleOffset)
+                  const FixedMath &fm, const AcceleratorConfig &config)
 {
     robox_assert(static_cast<int>(inputs.size()) == tape.numVars());
 
     const std::uint64_t sat0 = Fixed::saturationCount();
     const std::uint64_t div0 = Fixed::divByZeroCount();
-    const std::uint64_t faults0 = faults ? faults->faultsInjected() : 0;
-    const bool parity_on = selfcheck && selfcheck->parity;
 
     // Lower the tape into an M-DFG so Algorithm 1 can place it. Node i
     // corresponds to tape instruction i because every variable slot is
@@ -96,67 +92,22 @@ executeTapeMapped(const sym::Tape &tape, const std::vector<Fixed> &inputs,
     result.slotPeakAbs.assign(
         static_cast<std::size_t>(tape.numSlots()), 0.0);
 
-    // Parity bit per slot, computed from the fault-free value at store
-    // time. An SEU flips a data bit but not the parity bit, so the
-    // first read of a corrupted word mismatches.
-    std::vector<std::uint8_t> slot_parity(
-        static_cast<std::size_t>(tape.numSlots()), 0);
-
     // Record one stored word: peak-magnitude tracking feeds the
-    // per-variable range-utilization report. `truth` is the fault-free
-    // value the parity bit is computed from; `v` is what the storage
-    // structure actually holds after the fault filter.
-    auto store = [&](int slot, Fixed truth, Fixed v) {
+    // per-variable range-utilization report.
+    auto store = [&](int slot, Fixed v) {
         slot_value[slot] = v;
-        if (parity_on)
-            slot_parity[slot] = static_cast<std::uint8_t>(
-                parity32(static_cast<std::uint32_t>(truth.raw())));
         double a = std::abs(v.toDouble());
         if (a > result.slotPeakAbs[slot])
             result.slotPeakAbs[slot] = a;
         result.health.trackValue(a);
     };
 
-    // Verify one word against its parity bit; on mismatch, record the
-    // detection and re-adopt the corrupted word's parity so each upset
-    // is reported exactly once (scrub-on-detect).
-    auto parity_check = [&](int slot, FaultSite site,
-                            std::uint64_t cycle, std::uint64_t word) {
-        if (!parity_on)
-            return;
-        ++result.health.selfCheck.parityChecks;
-        std::uint32_t raw =
-            static_cast<std::uint32_t>(slot_value[slot].raw());
-        if (parity32(raw) == slot_parity[slot])
-            return;
-        ++result.health.selfCheck.parityErrors;
-        result.faultReports.push_back(
-            {site, cycle, word, FaultDetector::Parity,
-             AccelRecoveryRung::None});
-        slot_parity[slot] =
-            static_cast<std::uint8_t>(parity32(raw));
-    };
-
-    // Inputs and preloads land in the access-engine scratchpad before
-    // execution starts: fault cycle 0 (+ attempt offset), word = slot.
     for (int i = 0; i < tape.numVars(); ++i) {
-        Fixed truth = inputs[i];
-        Fixed v = truth;
-        if (faults)
-            v = faults->access(v, FaultSite::Scratchpad,
-                               faultCycleOffset,
-                               static_cast<std::uint64_t>(i));
-        store(i, truth, v);
+        store(i, inputs[i]);
         slot_global[i] = true;
     }
     for (const sym::Tape::Preload &p : tape.preloads()) {
-        Fixed truth = Fixed::fromDouble(p.value);
-        Fixed v = truth;
-        if (faults)
-            v = faults->access(v, FaultSite::Scratchpad,
-                               faultCycleOffset,
-                               static_cast<std::uint64_t>(p.slot));
-        store(p.slot, truth, v);
+        store(p.slot, Fixed::fromDouble(p.value));
         slot_global[p.slot] = true;
     }
 
@@ -170,26 +121,10 @@ executeTapeMapped(const sym::Tape &tape, const std::vector<Fixed> &inputs,
     std::vector<std::uint32_t> slot_node(
         static_cast<std::size_t>(tape.numSlots()), kExternal);
 
-    // Undelivered-operand handling: a mapping that never delivers a
-    // consumed value is a compiler bug and panics — unless a self-check
-    // policy is attached, in which case the same condition is what a
-    // fault-corrupted namespace queue looks like from the consumer:
-    // the watchdog trips, the run is flagged, and the recovery ladder
-    // (accel/selfcheck.hh) takes over instead of the process dying.
-    auto watchdog_trip = [&](std::uint64_t cycle, std::uint64_t word) {
-        ++result.health.selfCheck.watchdogTrips;
-        result.faultReports.push_back(
-            {FaultSite::Interconnect, cycle, word,
-             FaultDetector::Watchdog, AccelRecoveryRung::None});
-        result.deadlock = true;
-    };
-
-    for (std::uint32_t id = 0;
-         id < graph.size() && !result.deadlock; ++id) {
+    for (std::uint32_t id = 0; id < graph.size(); ++id) {
         const sym::Tape::Instr &in = tape.instrs()[id];
         const compiler::Placement &pl = map.placement[id];
         int gcu = pl.cc * ncu + pl.cu;
-        const std::uint64_t fcycle = id + faultCycleOffset;
 
         // Deliver any transfers scheduled before this consumer runs.
         while (transfer_cursor < map.transfers.size() &&
@@ -198,96 +133,41 @@ executeTapeMapped(const sym::Tape &tape, const std::vector<Fixed> &inputs,
             int dst = t.dstCc * ncu + std::max(0, t.dstCu);
             if (!available.count({t.producer,
                                   t.srcCc * ncu +
-                                      std::max(0, t.srcCu)})) {
-                if (selfcheck) {
-                    watchdog_trip(fcycle, t.producer);
-                    break;
-                }
+                                      std::max(0, t.srcCu)}))
                 panic("functional: transfer of node {} from a CU that "
                       "does not hold it", t.producer);
-            }
-            int slot = tape.instrs()[t.producer].dst;
-            if (faults) {
-                // The message rides the interconnect: upset the word
-                // as delivered (cycle = consumer id, word = producer).
-                Fixed v = faults->access(
-                    slot_value[slot], FaultSite::Interconnect, fcycle,
-                    static_cast<std::uint64_t>(t.producer));
-                if (v.raw() != slot_value[slot].raw()) {
-                    // Corrupted in transit: the data word changes but
-                    // the parity bit computed at the producer rides
-                    // along unchanged, so the delivery check below (or
-                    // the first fetch) sees the mismatch.
-                    slot_value[slot] = v;
-                    result.health.trackValue(std::abs(v.toDouble()));
-                }
-            }
-            parity_check(slot, FaultSite::Interconnect, fcycle,
-                         static_cast<std::uint64_t>(t.producer));
             available.insert({t.producer, dst});
             ++result.transfersApplied;
             ++transfer_cursor;
         }
-        if (result.deadlock)
-            break;
 
         auto fetch = [&](int slot) -> Fixed {
-            if (slot_global[slot]) {
-                parity_check(slot, FaultSite::Scratchpad, fcycle,
-                             static_cast<std::uint64_t>(slot));
+            if (slot_global[slot])
                 return slot_value[slot];
-            }
             std::uint32_t producer = slot_node[slot];
             robox_assert(producer != kExternal);
-            if (!available.count({producer, gcu})) {
-                if (selfcheck) {
-                    watchdog_trip(fcycle, producer);
-                    return Fixed();
-                }
+            if (!available.count({producer, gcu}))
                 panic("functional: node {} consumes node {} on cu {} "
                       "but the communication map never delivered it",
                       id, producer, gcu);
-            }
             ++result.localReads;
-            parity_check(slot, FaultSite::RegisterFile, fcycle,
-                         static_cast<std::uint64_t>(slot));
             return slot_value[slot];
         };
 
         Fixed a = fetch(in.a);
         Fixed b = in.b >= 0 ? fetch(in.b) : Fixed();
-        if (result.deadlock)
-            break;
-        Fixed truth = apply(in, a, b, fm);
-        Fixed out = truth;
-        if (faults) {
-            // The result lands in the CU's register file: cycle =
-            // instruction id, word = destination slot.
-            out = faults->access(out, FaultSite::RegisterFile, fcycle,
-                                 static_cast<std::uint64_t>(in.dst));
-        }
-        store(in.dst, truth, out);
+        store(in.dst, apply(in, a, b, fm));
         slot_node[in.dst] = id;
         available.insert({id, gcu});
     }
 
     result.outputs.reserve(tape.outputSlots().size());
-    for (int slot : tape.outputSlots()) {
-        // Handing an output to the host is a read too: an upset on a
-        // result no later instruction consumed is still caught here.
-        parity_check(slot,
-                     slot_global[slot] ? FaultSite::Scratchpad
-                                       : FaultSite::RegisterFile,
-                     graph.size() + faultCycleOffset,
-                     static_cast<std::uint64_t>(slot));
+    for (int slot : tape.outputSlots())
         result.outputs.push_back(slot_value[slot]);
-    }
 
     result.health.tapeEvals = 1;
     result.health.saturations = Fixed::saturationCount() - sat0;
     result.health.divByZeros = Fixed::divByZeroCount() - div0;
-    result.health.faultsInjected =
-        faults ? faults->faultsInjected() - faults0 : 0;
     return result;
 }
 

@@ -8,7 +8,9 @@
  * where the communication map says a transfer happens. An operand that
  * was never delivered to its consumer's CU is a mapping bug and
  * panics. The outputs must equal Tape::evalFixed bit-for-bit, which
- * the tests assert for every benchmark tape.
+ * the tests assert for every benchmark tape. Fault injection and the
+ * self-check ladder live in the solver's tape path (MpcProblem), not
+ * here.
  *
  * Modeling note: the CU namespace queues are functionally modeled as
  * local value stores; the 8-entry addressable window is a scheduling
@@ -19,11 +21,10 @@
 #ifndef ROBOX_ACCEL_FUNCTIONAL_HH
 #define ROBOX_ACCEL_FUNCTIONAL_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "accel/config.hh"
-#include "accel/faults.hh"
 #include "fixed/fixed.hh"
 #include "fixed/fixed_math.hh"
 #include "fixed/health.hh"
@@ -31,26 +32,6 @@
 
 namespace robox::accel
 {
-
-/**
- * Knobs of the self-checking execution layer (fixed/selfcheck.hh).
- * With every detector enabled and no faults injected, a self-checked
- * run is bitwise identical to an unchecked one: detection is pure
- * overhead, never perturbation.
- */
-struct SelfCheckPolicy
-{
-    /** Maintain a parity bit per stored word (register file and
-     *  scratchpad) and per interconnect transfer, checked on read /
-     *  delivery so an upset is caught at first use. */
-    bool parity = true;
-    /** Recovery rung 1: re-executions of the tape from the same
-     *  inputs before escalating to a program-image reload. */
-    int maxReexecutions = 2;
-    /** Recovery rung 3: serve the run from the CPU double-precision
-     *  path when re-execution and reload both stay corrupted. */
-    bool cpuFallback = true;
-};
 
 /** Result of a functional run. */
 struct FunctionalResult
@@ -60,25 +41,11 @@ struct FunctionalResult
     std::size_t localReads = 0;       //!< Operands already resident.
 
     /** Numeric-integrity report for this run: saturation/div-by-zero
-     *  deltas, peak magnitude over every stored word, faults taken,
-     *  and (with a SelfCheckPolicy) parity/watchdog detections. */
+     *  deltas and peak magnitude over every stored word. */
     NumericHealth health;
     /** Peak |value| ever stored per tape slot, for per-variable range
      *  utilization (slot i of the tape -> slotPeakAbs[i]). */
     std::vector<double> slotPeakAbs;
-
-    /** One entry per on-line detection (parity mismatch or watchdog
-     *  deadlock trip), in detection order. The recovery rung is
-     *  stamped by executeTapeSelfChecked (accel/selfcheck.hh);
-     *  detection-only runs leave it AccelRecoveryRung::None. */
-    std::vector<AccelFaultReport> faultReports;
-
-    /** An operand was never delivered to its consumer (namespace-queue
-     *  deadlock): execution aborted at the consuming instruction and
-     *  outputs are untrustworthy. Only possible under a fault campaign
-     *  with self-checking on; without a policy the same condition is a
-     *  mapping bug and panics. */
-    bool deadlock = false;
 };
 
 /**
@@ -88,35 +55,11 @@ struct FunctionalResult
  * @param inputs Values for the tape's variable slots.
  * @param fm LUT configuration for the nonlinear operations.
  * @param config Accelerator shape (number of CCs/CUs).
- * @param faults Optional fault injector; when given, scratchpad
- *               preloads (cycle 0, word = slot), register-file result
- *               writes (cycle = instruction id, word = dst slot), and
- *               interconnect deliveries (cycle = consumer id, word =
- *               producer node) are filtered through it. The functional
- *               model keeps one store per slot, so an interconnect
- *               flip corrupts the delivered value for all later
- *               consumers on that CU — a pessimistic but valid SEU
- *               model.
- * @param selfcheck Optional self-checking policy; when given (and
- *               parity is on), every stored word carries a parity bit
- *               computed from the fault-free value and verified on
- *               read/delivery, detections land in
- *               FunctionalResult::faultReports, and an undelivered
- *               operand becomes a watchdog deadlock report instead of
- *               a panic.
- * @param faultCycleOffset Added to every fault-injection cycle
- *               coordinate. Re-execution attempts pass a fresh offset
- *               so the deterministic campaign hash re-rolls — a
- *               transient upset does not recur on replay, exactly like
- *               a real SEU.
  */
 FunctionalResult executeTapeMapped(const sym::Tape &tape,
                                    const std::vector<Fixed> &inputs,
                                    const FixedMath &fm,
-                                   const AcceleratorConfig &config,
-                                   FaultInjector *faults = nullptr,
-                                   const SelfCheckPolicy *selfcheck = nullptr,
-                                   std::uint64_t faultCycleOffset = 0);
+                                   const AcceleratorConfig &config);
 
 } // namespace robox::accel
 

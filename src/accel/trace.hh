@@ -48,10 +48,10 @@ struct TraceEvent
 };
 
 /**
- * A zero-duration self-check marker: a watchdog trip, a parity or
- * checksum detection, or the recovery ladder engaging. Rendered as an
- * "accel" category instant event on the cluster's CC-wide lane so
- * detections line up against the work that was executing.
+ * A zero-duration self-check marker: a watchdog trip or the hard
+ * cycle cap. Rendered as an "accel" category instant event on the
+ * cluster's CC-wide lane so detections line up against the work that
+ * was executing.
  */
 struct TraceMarker
 {

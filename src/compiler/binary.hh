@@ -11,8 +11,7 @@
  *
  * The checksum makes the program store self-checking: the loader
  * refuses a corrupted image at flash time, and a resident image can be
- * re-verified mid-run (verifyImage) — the detection half of the
- * reload rung of the recovery ladder (accel/selfcheck.hh).
+ * re-verified mid-run (verifyImage).
  */
 
 #ifndef ROBOX_COMPILER_BINARY_HH

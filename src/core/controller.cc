@@ -16,10 +16,7 @@ Controller::Controller(const std::string &source,
     : model_(dsl::analyzeSource(source, task_name)),
       solver_(std::make_unique<mpc::IpmSolver>(model_, options)),
       backup_(model_),
-      gate_(model_, options),
-      gate_active_(options.sensorRangeMargin >= 0.0 ||
-                   options.sensorJumpThreshold > 0.0 ||
-                   options.sensorFrozenPeriods > 0)
+      gate_(model_, options)
 {
     if (options.flightRecorderCapacity > 0)
         recorder_.configure(options.flightRecorderCapacity);
@@ -36,8 +33,8 @@ Controller::recordFlight(const Vector &x,
     rec.robot = -1;
     rec.status = result.status;
     rec.sensorVerdict =
-        gate_active_ ? static_cast<std::int32_t>(gate_.lastVerdict())
-                     : -1;
+        gate_.enabled() ? static_cast<std::int32_t>(gate_.lastVerdict())
+                        : -1;
     rec.degraded = result.degraded;
     rec.state = x;
     rec.command = result.u0;
@@ -47,12 +44,7 @@ Controller::recordFlight(const Vector &x,
 mpc::IpmSolver::Result
 Controller::applyFailsafe(mpc::IpmSolver::Result result)
 {
-    if (mpc::statusUsable(result.status)) {
-        backup_.accept(solver_->inputTrajectory());
-    } else {
-        result.u0.copyFrom(backup_.command());
-        result.degraded = true;
-    }
+    backup_.settle(result, *solver_);
     last_status_ = result.status;
     return result;
 }
@@ -60,7 +52,7 @@ Controller::applyFailsafe(mpc::IpmSolver::Result result)
 bool
 Controller::gateRejects(const Vector &x, mpc::IpmSolver::Result *rejected)
 {
-    if (!gate_active_ || gate_.check(x) == mpc::SensorVerdict::Ok)
+    if (!gate_.enabled() || gate_.check(x) == mpc::SensorVerdict::Ok)
         return false;
     // Implausible measurement: skip the solve (warm start untouched)
     // and issue the backup command for this period.
@@ -68,11 +60,7 @@ Controller::gateRejects(const Vector &x, mpc::IpmSolver::Result *rejected)
     rejected->converged = false;
     rejected->iterations = 0;
     rejected->objective = 0.0;
-    rejected->degraded = true;
-    const Vector &u = backup_.command();
-    if (rejected->u0.size() != u.size())
-        rejected->u0.resize(u.size());
-    rejected->u0.copyFrom(u);
+    backup_.serve(*rejected);
     last_status_ = rejected->status;
     return true;
 }

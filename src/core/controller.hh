@@ -228,7 +228,6 @@ class Controller
     std::unique_ptr<mpc::IpmSolver> solver_;
     mpc::BackupPlan backup_;
     mpc::SensorGate gate_;
-    bool gate_active_ = false;
     mpc::SolveStatus last_status_ = mpc::SolveStatus::Unsolved;
     mpc::FlightRecorder recorder_;
     std::uint64_t periods_ = 0; //!< step() invocations so far.

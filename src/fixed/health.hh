@@ -65,9 +65,9 @@ struct NumericHealth
      *  count classifies the run as numerically degraded. */
     std::uint64_t toleranceBreaches = 0;
 
-    /** On-line detection/recovery counters (parity, checksum,
-     *  watchdog, ladder rungs); see fixed/selfcheck.hh. All zero when
-     *  self-checking execution is disabled. */
+    /** On-line detection/recovery counters (parity, ladder rungs);
+     *  see fixed/selfcheck.hh. All zero when self-checking execution
+     *  is disabled. */
     SelfCheckStats selfCheck;
 
     /** Fraction of the representable Q14.17 magnitude ever used;

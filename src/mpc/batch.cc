@@ -46,10 +46,6 @@ BatchController::BatchController(const dsl::ModelSpec &model,
     poisoned_.assign(num_robots, 0);
     batch_cost_.assign(num_robots, 0.0);
 
-    gate_active_ = options.sensorRangeMargin >= 0.0 ||
-                   options.sensorJumpThreshold > 0.0 ||
-                   options.sensorFrozenPeriods > 0;
-
     if (options.linkEnabled)
         link_ = std::make_unique<FleetLink>(
             solvers_.front()->problem().model(), options, num_robots);
@@ -123,7 +119,7 @@ BatchController::validateInputs()
         // corrupt the jump/frozen baselines.
         const bool gateable =
             !link_ || link_->service(i) == FleetLink::Service::Fresh;
-        if (gate_active_ && gateable &&
+        if (gates_[i].enabled() && gateable &&
             gates_[i].check((*states_)[i]) != SensorVerdict::Ok) {
             decisions_[i] = Admit::Backup;
             poisoned_[i] = 1;
@@ -285,33 +281,34 @@ void
 BatchController::serveLocal(std::size_t i)
 {
     IpmSolver::Result &r = results_[i];
-    const dsl::ModelSpec &model = solvers_[i]->problem().model();
-    const auto nu = static_cast<std::size_t>(model.nu());
-    if (r.u0.size() != nu)
-        r.u0.resize(nu);
     r.converged = false;
     r.iterations = 0;
     r.objective = 0.0;
-    r.degraded = true;
     switch (decisions_[i]) {
       case Admit::Backup:
         r.status = SolveStatus::ServedFromBackup;
-        r.u0.copyFrom(backups_[i].command());
+        backups_[i].serve(r);
         break;
       case Admit::BadInput:
         r.status = SolveStatus::BadInput;
-        r.u0.copyFrom(backups_[i].command());
+        backups_[i].serve(r);
         break;
       case Admit::Shed:
-      default:
+      default: {
         // Shed: no service at all — the backup tail is not advanced
         // and u0 is only the box-projected zero placeholder; callers
         // should hold the previous actuation.
+        const dsl::ModelSpec &model = solvers_[i]->problem().model();
+        const auto nu = static_cast<std::size_t>(model.nu());
         r.status = SolveStatus::Shed;
+        r.degraded = true;
+        if (r.u0.size() != nu)
+            r.u0.resize(nu);
         for (std::size_t j = 0; j < nu; ++j)
             r.u0[j] = std::clamp(0.0, model.inputLower[j],
                                  model.inputUpper[j]);
         break;
+      }
     }
 }
 
@@ -322,19 +319,9 @@ BatchController::solveOne(std::size_t i)
         stall_hook_(i);
     IpmSolver &solver = *solvers_[i];
     results_[i] = solver.solve((*states_)[i], (*refs_)[i]);
-    if (statusUsable(results_[i].status)) {
-        backups_[i].accept(solver.inputTrajectory());
-        if (decisions_[i] == Admit::Degraded)
-            results_[i].status = SolveStatus::DegradedBudget;
-    } else {
-        // Per-robot failsafe, mirroring core::Controller::step: a
-        // failed solve is served from the backup-plan tail.
-        const Vector &u = backups_[i].command();
-        if (results_[i].u0.size() != u.size())
-            results_[i].u0.resize(u.size());
-        results_[i].u0.copyFrom(u);
-        results_[i].degraded = true;
-    }
+    if (backups_[i].settle(results_[i], solver) &&
+        decisions_[i] == Admit::Degraded)
+        results_[i].status = SolveStatus::DegradedBudget;
 }
 
 void
@@ -360,11 +347,7 @@ BatchController::drainQueue()
             // in report().lastBatchExceptions for postmortems.
             results_[i].status = SolveStatus::NumericFailure;
             results_[i].converged = false;
-            results_[i].degraded = true;
-            const Vector &u = backups_[i].command();
-            if (results_[i].u0.size() != u.size())
-                results_[i].u0.resize(u.size());
-            results_[i].u0.copyFrom(u);
+            backups_[i].serve(results_[i]);
             std::lock_guard<std::mutex> lock(mutex_);
             ++thrown_;
             // Deterministic postmortem policy: whatever the thread
@@ -808,9 +791,8 @@ bool
 transferSelfCheck(Io &io, SelfCheck &sc)
 {
     return field(io, sc.parityChecks) && field(io, sc.parityErrors) &&
-           field(io, sc.checksumChecks) && field(io, sc.checksumErrors) &&
-           field(io, sc.watchdogTrips) && field(io, sc.reexecutions) &&
-           field(io, sc.reloads) && field(io, sc.cpuFallbacks);
+           field(io, sc.reexecutions) && field(io, sc.reloads) &&
+           field(io, sc.cpuFallbacks);
 }
 
 } // namespace
@@ -983,11 +965,6 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
     const SelfCheckStats &sc = report.selfCheck;
     scalars.push_back(count("parityErrors", "self-check parity hits",
                             sc.parityErrors));
-    scalars.push_back(count("checksumErrors",
-                            "self-check image-checksum hits",
-                            sc.checksumErrors));
-    scalars.push_back(count("watchdogTrips", "self-check watchdog trips",
-                            sc.watchdogTrips));
     scalars.push_back(count("accelReexecutions",
                             "recovery rung-1 re-executions",
                             sc.reexecutions));

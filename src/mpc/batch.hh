@@ -414,7 +414,6 @@ class BatchController
     BatchReport report_;
 
     MpcOptions options_;   //!< Shared options (base budget values).
-    bool gate_active_ = false; //!< Any sensor-gate check enabled.
     std::vector<double> priority_;
     std::vector<double> ewma_;      //!< Per-robot cost model, seconds.
     std::vector<Admit> decisions_;  //!< Current batch's admissions.

@@ -327,56 +327,33 @@ MpcProblem::runTape(const sym::Tape &tape) const
         for (std::size_t i = 0; i < fixed_env_.size(); ++i) {
             ++numeric_health_.selfCheck.parityChecks;
             if (parity32(static_cast<std::uint32_t>(
-                    fixed_env_[i].raw())) == parity_scratch_[i])
-                continue;
-            ++numeric_health_.selfCheck.parityErrors;
-            ++errors;
-            if (accel_fault_reports_.size() < kMaxAccelFaultReports) {
-                accel_fault_reports_.push_back(
-                    {FaultSite::Scratchpad, cycle,
-                     static_cast<std::uint64_t>(i),
-                     FaultDetector::Parity, AccelRecoveryRung::None});
-            }
+                    fixed_env_[i].raw())) != parity_scratch_[i])
+                ++errors;
         }
+        numeric_health_.selfCheck.parityErrors += errors;
         return errors;
     };
 
-    // Stamp the reports a failed attempt produced with the recovery
-    // rung that answers them.
-    auto stamp = [&](std::size_t from, AccelRecoveryRung rung) {
-        for (std::size_t i = from; i < accel_fault_reports_.size(); ++i)
-            accel_fault_reports_[i].rung = rung;
-    };
-
-    std::size_t mark = accel_fault_reports_.size();
     std::uint64_t errors = attempt();
     if (errors > 0) {
         // Rung 1: re-execute; the upset was transient unless the hash
         // says otherwise.
-        int reexec = 0;
-        while (errors > 0 && reexec < kAccelMaxReexecutions) {
-            stamp(mark, AccelRecoveryRung::Reexecute);
+        for (int reexec = 0;
+             errors > 0 && reexec < kAccelMaxReexecutions; ++reexec) {
             ++numeric_health_.selfCheck.reexecutions;
-            ++reexec;
-            mark = accel_fault_reports_.size();
             errors = attempt();
         }
-        // Rung 2: reload the program image (its checksum re-verified
-        // on the way in; the streams here are known-good by
-        // construction, so only the check is modeled) and try once
-        // more.
+        // Rung 2: reload the program image (the streams here are
+        // known-good by construction, so only the reload is modeled)
+        // and try once more.
         if (errors > 0) {
-            stamp(mark, AccelRecoveryRung::Reload);
             ++numeric_health_.selfCheck.reloads;
-            ++numeric_health_.selfCheck.checksumChecks;
-            mark = accel_fault_reports_.size();
             errors = attempt();
         }
         // Rung 3: abandon the accelerator for this evaluation and
         // serve it from the CPU double-precision path. The solve is
         // condemned to SolveStatus::AccelFault by the solver.
         if (errors > 0) {
-            stamp(mark, AccelRecoveryRung::CpuFallback);
             ++numeric_health_.selfCheck.cpuFallbacks;
             accel_fault_ = true;
             ++numeric_health_.tapeEvals;

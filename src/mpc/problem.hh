@@ -204,7 +204,6 @@ class MpcProblem
     {
         numeric_health_ = NumericHealth();
         accel_fault_ = false;
-        accel_fault_reports_.clear();
     }
 
     /**
@@ -214,17 +213,6 @@ class MpcProblem
      * reload, so the solver marks the solve SolveStatus::AccelFault.
      */
     bool accelFaultDetected() const { return accel_fault_; }
-
-    /**
-     * Detection reports accumulated since the last
-     * resetNumericHealth(), each stamped with the recovery rung that
-     * answered it (capped at kMaxAccelFaultReports entries; the
-     * SelfCheckStats counters in numericHealth() remain exact).
-     */
-    const std::vector<AccelFaultReport> &accelFaultReports() const
-    {
-        return accel_fault_reports_;
-    }
 
   private:
     /** Build the symbolic discrete-time dynamics F(x, u, ref). */
@@ -275,13 +263,9 @@ class MpcProblem
      *  host write time (accelSelfCheck). */
     mutable std::vector<std::uint8_t> parity_scratch_;
 
-    /** Bound on retained AccelFaultReport entries per solve. */
-    static constexpr std::size_t kMaxAccelFaultReports = 256;
-
     TapeFaultHook fault_hook_;
     mutable NumericHealth numeric_health_;
     mutable bool accel_fault_ = false;
-    mutable std::vector<AccelFaultReport> accel_fault_reports_;
     /** Monotone fixed-point evaluation counter; the fault engine's
      *  cycle coordinate. Never reset, so identically-constructed
      *  problems see identical cycles (campaign reproducibility). */

@@ -79,13 +79,9 @@ simulateClosedLoop(IpmSolver &solver, const Vector &x0,
         result.allConverged = result.allConverged && sol.converged;
         result.totalIterations += sol.iterations;
         result.statuses.push_back(sol.status);
-        if (statusUsable(sol.status)) {
-            backup.accept(solver.inputTrajectory());
-        } else {
-            // Graceful degradation: replay the time-shifted tail of
-            // the last accepted plan instead of the untrusted solve.
-            sol.u0.copyFrom(backup.command());
-            sol.degraded = true;
+        // Graceful degradation: an untrusted solve is replaced by the
+        // time-shifted tail of the last accepted plan.
+        if (!backup.settle(sol, solver)) {
             ++result.degradedSteps;
             result.maxConsecutiveDegraded =
                 std::max(result.maxConsecutiveDegraded,

@@ -5,6 +5,7 @@
 
 #include "mpc/sensor_gate.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "mpc/checkpoint_io.hh"
@@ -94,7 +95,11 @@ SensorGate::check(const Vector &x)
         for (int i = 0; i < nx && identical; ++i)
             identical = x[i] == baseline_[i];
         if (identical) {
-            if (++frozen_streak_ >= frozen_periods_)
+            // Only reaching frozen_periods_ matters, so the streak
+            // stops there.
+            if (frozen_streak_ < frozen_periods_)
+                ++frozen_streak_;
+            if (frozen_streak_ >= frozen_periods_)
                 verdict = SensorVerdict::Frozen;
         } else {
             frozen_streak_ = 0;
@@ -134,12 +139,16 @@ template <class Io, class Self>
 bool
 SensorGate::transfer(Io &io, Self &self)
 {
-    // check() reads nx baseline entries whenever has_baseline_ is set.
+    // check() reads nx baseline entries whenever has_baseline_ is set,
+    // and never leaves a streak outside the ranges checked here.
     const auto nx = static_cast<std::size_t>(self.model_->nx());
     return sizedField(io, self.baseline_, nx, true) &&
            field(io, self.has_baseline_) &&
            (!self.has_baseline_ || self.baseline_.size() == nx) &&
-           field(io, self.frozen_streak_) && field(io, self.jump_streak_) &&
+           field(io, self.frozen_streak_) && self.frozen_streak_ >= 0 &&
+           self.frozen_streak_ <= std::max(0, self.frozen_periods_) &&
+           field(io, self.jump_streak_) && self.jump_streak_ >= 0 &&
+           self.jump_streak_ < kJumpRehomePeriods &&
            support::enumField<std::uint32_t>(io, self.last_verdict_,
                                              SensorVerdict::Frozen) &&
            field(io, self.rejected_);

@@ -46,6 +46,10 @@ constexpr double kFractionToBoundary = 0.995;
 /** Slack floor when initializing from the start trajectory. */
 constexpr double kSlackFloor = 1e-3;
 
+/** Iterate magnitude (inf-norm over states and inputs) beyond which
+ *  the solve is declared diverged and the recovery ladder runs. */
+constexpr double kDivergenceThreshold = 1e12;
+
 // Failsafe ladder (ARCHITECTURE.md "Failure taxonomy and recovery
 // ladder"): the starting KKT regularization, how many times a failed
 // factorization bumps it and by what factor before a step backoff, and
@@ -898,7 +902,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
             if (finite_iterate)
                 iterate_inf = std::max(iterate_inf, us_[k].normInf());
         }
-        if (!finite_iterate || iterate_inf > opt.divergenceThreshold) {
+        if (!finite_iterate || iterate_inf > kDivergenceThreshold) {
             stats_.iterations = iter + 1;
             double mu_at = mu;
             bool again =

@@ -14,6 +14,26 @@
 namespace robox::mpc
 {
 
+namespace
+{
+
+/** Maximum age, in control periods, of the newest delivered state the
+ *  controller still serves a robot on (by a bounded dynamics rollout).
+ *  A robot whose measurement is older is demoted to its backup-plan
+ *  tail (SolveStatus::ServedFromBackup). */
+constexpr std::uint64_t kStalenessBoundPeriods = 3;
+
+/** Heartbeat bound: consecutive periods without any delivered uplink
+ *  before the robot's link is declared down and the robot is shed. */
+constexpr std::uint64_t kLinkDownPeriods = 6;
+
+/** Periods before the first retransmit of an unacked plan downlink,
+ *  and the cap on the interval as later retransmits double it. */
+constexpr std::uint64_t kRetransmitBackoffBase = 1;
+constexpr std::uint64_t kRetransmitBackoffCap = 8;
+
+} // namespace
+
 const char *
 toString(FleetLink::Service service)
 {
@@ -224,11 +244,9 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
 
     const std::uint64_t age =
         e.lastFreshSeq == kNever ? kNever : period_ - e.lastFreshSeq;
-    const auto bound =
-        static_cast<std::uint64_t>(std::max(0, options_.linkStalenessBoundPeriods));
     const bool refs_ok =
         i < refs.size() && refs[i].size() == nref;
-    if (age != kNever && age <= bound && refs_ok) {
+    if (age != kNever && age <= kStalenessBoundPeriods && refs_ok) {
         // Bounded dynamics rollout: advance the last fresh state by
         // `age` periods, applying the inputs the last computed plan
         // intended for those periods (the robot is executing that
@@ -296,19 +314,13 @@ FleetLink::beginPeriod(std::uint64_t period,
         drainUplinks(i);
 
     // Heartbeat: any delivered uplink proves the link is alive; its
-    // absence for linkDownPeriods declares the link down (<= 0
-    // disables detection).
+    // absence for kLinkDownPeriods declares the link down.
     for (std::size_t i = 0; i < n; ++i) {
         Endpoint &e = endpoints_[i];
-        bool now_down = false;
-        if (options_.linkDownPeriods > 0) {
-            const std::uint64_t silent =
-                e.lastAnyDelivery == kNever
-                    ? period_ + 1
-                    : period_ - e.lastAnyDelivery;
-            now_down = silent >=
-                       static_cast<std::uint64_t>(options_.linkDownPeriods);
-        }
+        const std::uint64_t silent = e.lastAnyDelivery == kNever
+                                         ? period_ + 1
+                                         : period_ - e.lastAnyDelivery;
+        const bool now_down = silent >= kLinkDownPeriods;
         if (now_down && !down_[i]) {
             went_down_[i] = 1;
             ++totals_.linkDownEvents;
@@ -339,8 +351,7 @@ FleetLink::sendPlan(std::size_t i, const std::vector<Vector> &inputs)
     }
     e.planSentThisPeriod = true;
     // Arm the retransmit schedule for this plan.
-    e.retryInterval = static_cast<std::uint64_t>(
-        std::max(1, options_.linkRetransmitBackoffBase));
+    e.retryInterval = kRetransmitBackoffBase;
     e.nextRetry = period_ + e.retryInterval;
     transmitDownlink(i, period_, e.lastPlan);
 }
@@ -409,9 +420,8 @@ FleetLink::finishPeriod()
             continue;
         ++totals_.retransmits;
         transmitDownlink(i, e.lastPlanSeq, e.lastPlan);
-        const auto cap = static_cast<std::uint64_t>(
-            std::max(1, options_.linkRetransmitBackoffCap));
-        e.retryInterval = std::min(cap, e.retryInterval * 2);
+        e.retryInterval =
+            std::min(kRetransmitBackoffCap, e.retryInterval * 2);
         e.nextRetry = period_ + e.retryInterval;
     }
 

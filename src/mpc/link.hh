@@ -21,7 +21,7 @@
  *    controller transmits each solved robot's full input trajectory as
  *    a sequence-numbered plan (seq == the period its state was
  *    measured for). A plan that goes unacked is retransmitted with
- *    capped exponential backoff (MpcOptions::linkRetransmitBackoff*)
+ *    capped exponential backoff (1 period, doubling up to 8)
  *    whenever no fresh plan was produced that period — a robot being
  *    solved every period gets a fresh (newer) plan instead.
  *  - Robot side: delivered plans land in a per-robot plan buffer that
@@ -32,12 +32,11 @@
  *    `delay` stages in for late deliveries (BackupPlan::skip).
  *  - Controller side: a robot whose uplink missed is compensated by a
  *    bounded dynamics rollout from its last fresh state (applying the
- *    stages of the last computed plan) for up to
- *    MpcOptions::linkStalenessBoundPeriods periods; past the bound it
- *    is demoted through the existing admission ladder
- *    (ServedFromBackup), and once no uplink at all has been delivered
- *    for MpcOptions::linkDownPeriods the link is declared down and the
- *    robot is shed.
+ *    stages of the last computed plan) for up to 3 periods (the
+ *    staleness bound); past the bound it is demoted through the
+ *    existing admission ladder (ServedFromBackup), and once no uplink
+ *    at all has been delivered for 6 periods the link is declared down
+ *    and the robot is shed.
  *
  * Determinism contract: all channel impairments (drop / delay /
  * duplicate / blackout) are decided by a ChaosEngine's link channels —
@@ -104,7 +103,7 @@ struct LinkReport
     /** Controller-side bounded dynamics rollouts performed. */
     std::uint64_t statesExtrapolated = 0;
     /** Robot-periods demoted to backup because the newest delivered
-     *  state aged past MpcOptions::linkStalenessBoundPeriods. */
+     *  state aged past the 3-period staleness bound. */
     std::uint64_t staleDemotions = 0;
     /** Up -> down link transitions (heartbeat bound exceeded). */
     std::uint64_t linkDownEvents = 0;

@@ -73,12 +73,6 @@ struct MpcOptions
     double solveDeadlineSeconds = -1.0;
 
     /**
-     * Iterate magnitude (inf-norm over states and inputs) beyond which
-     * the solve is declared diverged and the recovery ladder runs.
-     */
-    double divergenceThreshold = 1e12;
-
-    /**
      * Wall-clock budget for one BatchController::solveAll() call
      * (seconds). When non-negative, the batch admission pass projects
      * the batch cost from a per-robot EWMA solve-cost model and, when
@@ -132,31 +126,6 @@ struct MpcOptions
      * of ARCHITECTURE.md.
      */
     bool linkEnabled = false;
-
-    /**
-     * Maximum age, in control periods, of the newest delivered state
-     * the controller will still serve a robot on (compensated by a
-     * bounded dynamics-rollout extrapolation). A robot whose
-     * measurement is older is demoted to its backup-plan tail
-     * (SolveStatus::ServedFromBackup) instead of being served a solve
-     * against garbage.
-     */
-    int linkStalenessBoundPeriods = 3;
-
-    /**
-     * Heartbeat bound: consecutive periods without *any* delivered
-     * uplink before the robot's link is declared down and the robot is
-     * shed (SolveStatus::Shed) rather than served from an ever-staler
-     * plan. Re-delivery brings the link back up immediately.
-     */
-    int linkDownPeriods = 6;
-
-    /** Periods to wait before the first retransmit of an unacked plan
-     *  downlink; subsequent retransmits back off exponentially. */
-    int linkRetransmitBackoffBase = 1;
-
-    /** Cap on the retransmit backoff interval, periods. */
-    int linkRetransmitBackoffCap = 8;
 
     /**
      * Capacity of the per-solve iteration trace ring

@@ -197,8 +197,6 @@ TEST(Link, RetransmitBackoffFollowsCappedExponentialSchedule)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
     MpcOptions opt = linkOptions();
-    opt.linkRetransmitBackoffBase = 1;
-    opt.linkRetransmitBackoffCap = 8;
     // Heartbeats stay alive (uplinks flow), but every plan downlink is
     // lost, so the plan sent at period 0 is never acked.
     ChaosSpec spec;
@@ -308,8 +306,6 @@ TEST(Link, ExtrapolationCoversTheStalenessBoundThenDemotes)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
     MpcOptions opt = linkOptions();
-    opt.linkStalenessBoundPeriods = 3;
-    opt.linkDownPeriods = 6;
     ChaosSpec spec;
     spec.uplinkDropRate = 1.0; // Attached after period 0.
     ChaosEngine chaos(spec);
@@ -345,7 +341,7 @@ TEST(Link, ExtrapolationCoversTheStalenessBoundThenDemotes)
                 << "period " << p;
             EXPECT_TRUE(link.wasStaleDemoted(0));
         } else {
-            // linkDownPeriods = 6 silent periods: declared down.
+            // Six silent periods: declared down.
             EXPECT_EQ(link.service(0), FleetLink::Service::Down)
                 << "period " << p;
             EXPECT_TRUE(link.isDown(0));
@@ -419,7 +415,6 @@ TEST(LinkBatch, DeadUplinkDemotesThenShedsThroughTheLadder)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
     MpcOptions opt = linkOptions();
-    opt.linkDownPeriods = 6;
     ChaosSpec spec;
     spec.uplinkDropRate = 1.0; // Nothing ever arrives.
     ChaosEngine chaos(spec);
@@ -436,7 +431,7 @@ TEST(LinkBatch, DeadUplinkDemotesThenShedsThroughTheLadder)
         for (std::size_t i = 0; i < kRobots; ++i) {
             // With no delivered measurement ever, robots ride the
             // ladder: backup service until the heartbeat bound, shed
-            // after (silent periods reach linkDownPeriods at batch 5).
+            // after (silent periods reach six at batch 5).
             if (b < 5)
                 EXPECT_EQ(results[i].status,
                           SolveStatus::ServedFromBackup)

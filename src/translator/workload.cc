@@ -465,11 +465,6 @@ buildSolverIteration(const mpc::MpcProblem &problem, int stages)
         3 * static_cast<std::uint64_t>(nh_run) + nx + nu;
     wl.bytesWorkingSetPerStage = 4 * ws_words;
 
-    // Static numeric audit of the lowered graph: flags ops that can
-    // overflow Q14.17 (with scale hints) or divide by zero, before
-    // anything runs on the accelerator.
-    wl.ranges = analyzeRanges(g);
-
     return wl;
 }
 

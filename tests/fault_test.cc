@@ -2,10 +2,9 @@
  * @file
  * Fault-injection harness and numeric-health tests: deterministic
  * seeded bit flips in the accelerator datapath, the functional
- * simulator's health report, static range analysis of lowered graphs,
- * and the solver's golden cross-check / NumericDegraded detection and
- * failsafe recovery — including the bitwise reproducibility contract
- * for whole closed-loop campaigns.
+ * simulator's health report, and the solver's golden cross-check /
+ * NumericDegraded detection and failsafe recovery — including the
+ * bitwise reproducibility contract for whole closed-loop campaigns.
  */
 
 #include <cmath>
@@ -28,8 +27,6 @@
 #include "mpc/simulate.hh"
 #include "mpc/status.hh"
 #include "robots/robots.hh"
-#include "translator/range_analysis.hh"
-#include "translator/workload.hh"
 
 namespace robox
 {
@@ -359,120 +356,6 @@ TEST(NumericHealthReport, MergeAccumulates)
     EXPECT_DOUBLE_EQ(a.maxAbsError, 0.4);
     EXPECT_EQ(a.crossChecks, 4u);
     EXPECT_TRUE(a.degraded());
-}
-
-// ---------------------------------------------------------------------
-// Translator range analysis.
-// ---------------------------------------------------------------------
-
-TEST(RangeAnalysis, BenchmarkWorkloadsCarryBoundsForEveryNode)
-{
-    for (const char *name : {"MobileRobot", "Quadrotor", "AutoVehicle"}) {
-        mpc::MpcProblem prob = makeProblem(name, 6);
-        translator::Workload wl = translator::buildSolverIteration(prob, 6);
-        EXPECT_EQ(wl.ranges.bounds.size(), wl.graph.size()) << name;
-        EXPECT_EQ(wl.ranges.warnings.size(),
-                  wl.ranges.overflowRiskOps + wl.ranges.divByZeroRiskOps)
-            << name;
-        EXPECT_EQ(wl.ranges.scaleHints.size(), wl.ranges.overflowRiskOps)
-            << name;
-        for (const translator::Interval &iv : wl.ranges.bounds)
-            EXPECT_LE(iv.lo, iv.hi) << name;
-    }
-}
-
-TEST(RangeAnalysis, SquaringALargeStateIsFlaggedWithAScaleHint)
-{
-    const char *src = R"(
-System Sq() {
-  state x;
-  input u;
-  x.dt = x * x + u;
-  u.lower_bound <= -1;
-  u.upper_bound <= 1;
-  Task go() {
-    penalty p;
-    p.running = x - 1;
-  }
-}
-Sq sys();
-sys.go();
-)";
-    dsl::ModelSpec model = dsl::analyzeSource(src);
-    mpc::MpcOptions opt;
-    opt.horizon = 4;
-    opt.dt = 0.05;
-    mpc::MpcProblem prob(model, opt);
-    translator::Workload wl = translator::buildSolverIteration(prob, 4);
-
-    // Under the default +-128 input assumption, x*x reaches 16384 and
-    // escapes Q14.17.
-    translator::RangeReport report =
-        translator::analyzeRanges(wl.graph, translator::RangeOptions{});
-    EXPECT_GT(report.overflowRiskOps, 0u);
-    ASSERT_FALSE(report.scaleHints.empty());
-    bool has_mul_warning = false;
-    for (const translator::RangeWarning &w : report.warnings) {
-        if (w.risk != translator::RangeRisk::Overflow)
-            continue;
-        EXPECT_GT(w.bound, Fixed::maxAbs);
-        if (w.op == sym::Op::Mul)
-            has_mul_warning = true;
-    }
-    EXPECT_TRUE(has_mul_warning);
-    for (const translator::ScaleHint &hint : report.scaleHints)
-        EXPECT_GE(hint.shift, 1);
-
-    // Tightening the input assumption to +-2 removes every overflow
-    // flag in the dynamics phase's multiply chain.
-    translator::RangeOptions tight;
-    tight.inputInterval = {-2.0, 2.0};
-    translator::RangeReport calm =
-        translator::analyzeRanges(wl.graph, tight);
-    EXPECT_LT(calm.overflowRiskOps, report.overflowRiskOps);
-}
-
-TEST(RangeAnalysis, DivisionByAPossiblyZeroStateIsFlagged)
-{
-    const char *src = R"(
-System D() {
-  state x;
-  input u;
-  x.dt = u / x;
-  u.lower_bound <= -1;
-  u.upper_bound <= 1;
-  Task go() {
-    penalty p;
-    p.running = x - 2;
-  }
-}
-D sys();
-sys.go();
-)";
-    dsl::ModelSpec model = dsl::analyzeSource(src);
-    mpc::MpcOptions opt;
-    opt.horizon = 4;
-    opt.dt = 0.05;
-    mpc::MpcProblem prob(model, opt);
-    translator::Workload wl = translator::buildSolverIteration(prob, 4);
-
-    EXPECT_GT(wl.ranges.divByZeroRiskOps, 0u);
-    bool found = false;
-    for (const translator::RangeWarning &w : wl.ranges.warnings)
-        found = found ||
-                (w.risk == translator::RangeRisk::DivByZero &&
-                 w.op == sym::Op::Div);
-    EXPECT_TRUE(found);
-}
-
-TEST(RangeAnalysis, ReportsAreDeterministic)
-{
-    mpc::MpcProblem prob = makeProblem("Manipulator", 4);
-    translator::Workload wl = translator::buildSolverIteration(prob, 4);
-    translator::RangeReport a = translator::analyzeRanges(wl.graph);
-    translator::RangeReport b = translator::analyzeRanges(wl.graph);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, wl.ranges);
 }
 
 // ---------------------------------------------------------------------

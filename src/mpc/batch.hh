@@ -361,16 +361,6 @@ class BatchController
     bool restore(support::CheckpointReader &r);
 
   private:
-    /** Admission decision for one robot in the current batch. */
-    enum class Admit : std::uint8_t
-    {
-        Full,     //!< Solve with base options.
-        Degraded, //!< Solve with a tightened budget (scale_[i]).
-        Backup,   //!< Serve the BackupPlan tail, no solve.
-        Shed,     //!< No service at all.
-        BadInput, //!< Rejected by input validation; backup command.
-    };
-
     template <class Io, class Self>
     static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
 
@@ -416,7 +406,7 @@ class BatchController
     MpcOptions options_;   //!< Shared options (base budget values).
     std::vector<double> priority_;
     std::vector<double> ewma_;      //!< Per-robot cost model, seconds.
-    std::vector<Admit> decisions_;  //!< Current batch's admissions.
+    std::vector<ServiceRung> decisions_; //!< This batch's admissions.
     std::vector<double> scale_;     //!< Budget scale for Degraded.
     std::vector<std::size_t> order_; //!< Admission service order scratch.
     CostHook cost_hook_;
@@ -426,7 +416,7 @@ class BatchController
     bool timeline_enabled_ = false;
     FleetTimeline timeline_;
     double virtual_now_ = 0.0; //!< Virtual campaign time, seconds.
-    std::vector<Admit> prev_decisions_; //!< Rung-change baseline.
+    std::vector<ServiceRung> prev_decisions_; //!< Rung-change baseline.
     std::vector<std::uint8_t> poisoned_; //!< Sensor-gate demotions.
     std::vector<double> batch_cost_; //!< Modeled cost of this batch.
 

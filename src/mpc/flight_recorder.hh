@@ -37,7 +37,8 @@ struct FlightRecord
     std::uint64_t period = 0; //!< Virtual period (batch) index.
     std::int32_t robot = -1;  //!< Robot index; -1 for a single robot.
     SolveStatus status = SolveStatus::Unsolved;
-    /** Admission-ladder decision (mpc/batch.hh Admit), -1 = n/a. */
+    /** Admission-ladder decision (mpc/timeline.hh ServiceRung),
+     *  -1 = n/a. */
     std::int32_t rung = -1;
     /** SensorGate verdict (mpc/sensor_gate.hh), -1 = unchecked. */
     std::int32_t sensorVerdict = -1;

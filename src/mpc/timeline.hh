@@ -32,8 +32,8 @@
 namespace robox::mpc
 {
 
-/** Public mirror of the batch controller's per-robot admission
- *  outcome (the ladder rung a robot was served on). */
+/** The batch controller's per-robot admission decision: the ladder
+ *  rung a robot is served on in one batch. */
 enum class ServiceRung : std::uint8_t
 {
     Full = 0, //!< Solved with base options.

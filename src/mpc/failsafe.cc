@@ -15,6 +15,16 @@
 namespace robox::mpc
 {
 
+void
+boxProjectedZero(const dsl::ModelSpec &model, Vector &u)
+{
+    const auto nu = static_cast<std::size_t>(model.nu());
+    if (u.size() != nu)
+        u.resize(nu);
+    for (std::size_t i = 0; i < nu; ++i)
+        u[i] = std::clamp(0.0, model.inputLower[i], model.inputUpper[i]);
+}
+
 BackupPlan::BackupPlan(const dsl::ModelSpec &model)
     : model_(&model),
       command_(static_cast<std::size_t>(model.nu()))
@@ -43,15 +53,13 @@ BackupPlan::command()
 {
     if (consecutive_ < INT_MAX)
         ++consecutive_;
-    const int nu = model_->nu();
     if (plan_.empty()) {
         // Never had a plan: the safest structured command available
         // is zero projected into the actuator box.
-        for (int i = 0; i < nu; ++i)
-            command_[i] = std::clamp(0.0, model_->inputLower[i],
-                                     model_->inputUpper[i]);
+        boxProjectedZero(*model_, command_);
         return command_;
     }
+    const int nu = model_->nu();
     const std::size_t stage = std::min(cursor_, plan_.size() - 1);
     const Vector &u = plan_[stage];
     for (int i = 0; i < nu; ++i) {

@@ -35,6 +35,12 @@ namespace robox::mpc
 {
 
 /**
+ * The command served when no plan exists: zero projected into the
+ * model's actuator box, written to `u` (resized to nu when needed).
+ */
+void boxProjectedZero(const dsl::ModelSpec &model, Vector &u);
+
+/**
  * Backup-command store: the time-shifted tail of the last accepted
  * plan. Not thread-safe; one instance per controlled robot.
  */

@@ -262,9 +262,7 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
         for (std::uint64_t k = 0; k < age; ++k) {
             const std::uint64_t t = e.lastFreshSeq + k;
             if (e.lastPlan.empty() || e.lastPlanSeq == kNever) {
-                for (std::size_t j = 0; j < nu; ++j)
-                    u[j] = std::clamp(0.0, model_->inputLower[j],
-                                      model_->inputUpper[j]);
+                boxProjectedZero(*model_, u);
             } else {
                 const std::size_t stage =
                     t <= e.lastPlanSeq

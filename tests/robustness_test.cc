@@ -609,6 +609,75 @@ TEST(FaultInjection, EveryServingPathIssuesTheSameBackupCommands)
     }
 }
 
+TEST(FaultInjection, NoPlanCommandIsZeroProjectedIntoTheBox)
+{
+    // The input box [0.25, 1] excludes 0, so every path that serves a
+    // command without a plan must clamp zero up to 0.25.
+    const char *src = R"(
+System Pusher() {
+  state x;
+  input u;
+  x.dt = u;
+  u.lower_bound <= 0.25;
+  u.upper_bound <= 1.0;
+  Task hold( reference target ) {
+    penalty track;
+    track.running = x - target;
+  }
+}
+reference target;
+Pusher p();
+p.hold(target);
+)";
+    dsl::ModelSpec model = dsl::analyzeSource(src);
+    ASSERT_EQ(model.nu(), 1);
+    const std::vector<Vector> states{Vector{0.0}};
+    const std::vector<Vector> refs{Vector{1.0}};
+
+    // A never-planned backup plan.
+    BackupPlan backup(model);
+    const Vector &u = backup.command();
+    ASSERT_EQ(u.size(), 1u);
+    EXPECT_EQ(u[0], 0.25);
+
+    // A robot shed by admission on the direct path. Its first solve
+    // is unmeasured and admitted; the 1 s cost it then reports leaves
+    // only the shed rung under a 1 ms budget, since even backup
+    // service (2 ms) overflows it.
+    MpcOptions opt = integratorOptions();
+    opt.batchDeadlineSeconds = 1e-3;
+    opt.overloadParallelism = 1;
+    opt.overloadBackupCostSeconds = 2e-3;
+    BatchController batch(model, opt, 1, 1);
+    batch.setCostHook([](std::size_t, double) { return 1.0; });
+    batch.solveAll(states, refs);
+    const IpmSolver::Result &shed = batch.solveAll(states, refs)[0];
+    EXPECT_EQ(shed.status, SolveStatus::Shed);
+    ASSERT_EQ(shed.u0.size(), 1u);
+    EXPECT_EQ(shed.u0[0], 0.25);
+
+    // A link rollout before any plan: period 0 is fresh and sends no
+    // plan, then the uplink drops and period 1 extrapolates one period
+    // under the box-projected zero command.
+    MpcOptions link_opt = integratorOptions();
+    link_opt.linkEnabled = true;
+    ChaosSpec spec;
+    spec.uplinkDropRate = 1.0;
+    ChaosEngine chaos(spec);
+    FleetLink link(model, link_opt, 1);
+    link.beginPeriod(0, states, refs);
+    link.finishPeriod();
+    EXPECT_EQ(link.executedCommand(0)[0], 0.25);
+    link.setChaos(&chaos);
+    link.beginPeriod(1, states, refs);
+    ASSERT_EQ(link.service(0), FleetLink::Service::Extrapolated);
+    const Vector expected =
+        Plant(model).step(states[0], Vector{0.25}, refs[0], link_opt.dt);
+    ASSERT_EQ(link.servedStates()[0].size(), 1u);
+    EXPECT_EQ(link.servedStates()[0][0], expected[0]);
+    EXPECT_GT(expected[0], states[0][0]);
+}
+
 TEST(FaultInjection, PoisonedRobotIsIsolatedInBatch)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);

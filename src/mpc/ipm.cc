@@ -59,6 +59,11 @@ constexpr int kMaxRegularizationBumps = 2;
 constexpr double kRegularizationBumpFactor = 1e4;
 constexpr int kMaxColdRestarts = 1;
 
+/** Iterations the per-solve trace ring (SolveStats::trace) keeps: the
+ *  last 64 of every solve, with their residuals, barrier value, step
+ *  lengths, regularization and recovery-ladder activity. */
+constexpr int kSolveTraceCapacity = 64;
+
 /** Position of row id in rows, or -1 when absent. */
 int
 positionOf(const std::vector<int> &rows, int id)
@@ -165,7 +170,7 @@ IpmSolver::IpmSolver(const dsl::ModelSpec &model, const MpcOptions &options)
     result_.u0.resize(nu);
     // Pre-size the iteration-trace ring here, once: recording during
     // solve() is then in-place writes only.
-    stats_.trace.configure(options.solveTraceCapacity);
+    stats_.trace.configure(kSolveTraceCapacity);
 }
 
 void

@@ -68,9 +68,9 @@ struct SolveStats
      *  MpcOptions::fixedPointTapes is off. */
     NumericHealth numeric;
 
-    /** Ring of the last MpcOptions::solveTraceCapacity iterations of
-     *  this solve (residuals, barrier, steps, regularization, ladder
-     *  activity); see mpc/solve_trace.hh and formatSolveTrace(). */
+    /** Ring of the last 64 iterations of this solve (residuals,
+     *  barrier, steps, regularization, ladder activity); see
+     *  mpc/solve_trace.hh and formatSolveTrace(). */
     SolveTrace trace;
 
     /**

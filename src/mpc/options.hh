@@ -128,17 +128,6 @@ struct MpcOptions
     bool linkEnabled = false;
 
     /**
-     * Capacity of the per-solve iteration trace ring
-     * (SolveStats::trace): the last N interior-point iterations of
-     * every solve are retained with their residuals, barrier value,
-     * step lengths, regularization, and recovery-ladder activity. The
-     * ring is pre-sized at solver construction and written in place, so
-     * tracing stays on the allocation-free hot path. 0 disables
-     * recording entirely.
-     */
-    int solveTraceCapacity = 64;
-
-    /**
      * Capacity of the black-box flight recorder (mpc/flight_recorder):
      * a fixed-capacity in-place ring of the most recent per-period
      * records (state, command, status, admission rung, link/sensor

@@ -30,7 +30,7 @@ formatSolveTrace(const std::string &name, const SolveTrace &trace)
     std::ostringstream os;
     os << "---------- Begin Solve Trace ( " << name << " ) ----------\n";
     if (!trace.enabled()) {
-        os << "(tracing disabled: solveTraceCapacity = 0)\n";
+        os << "(tracing disabled: ring capacity 0)\n";
     } else if (trace.empty()) {
         os << "(no iterations recorded)\n";
     } else {

@@ -6,11 +6,11 @@
  * surfaced through SolveStats::trace. When a solve converges in a few
  * iterations the ring holds the whole story; when a solve misbehaves
  * (regularization bumps, step backoffs, cold restarts, divergence) the
- * ring holds the last solveTraceCapacity iterations leading up to the
- * outcome — exactly the window a postmortem needs. The ring is
- * pre-sized once at solver construction and written in place, so
- * recording never allocates and the zero-allocation warm-solve
- * contract (tests/batch_test.cc) is preserved.
+ * ring holds the last 64 iterations (ipm.cc's kSolveTraceCapacity)
+ * leading up to the outcome — exactly the window a postmortem needs.
+ * The ring is pre-sized once at solver construction and written in
+ * place, so recording never allocates and the zero-allocation
+ * warm-solve contract (tests/batch_test.cc) is preserved.
  *
  * formatSolveTrace renders the ring as an aligned text table in the
  * same spirit as accel::formatNumericHealth, for log files and test

@@ -364,7 +364,6 @@ TEST(SolveTrace, SolverRecordsEveryIteration)
     dsl::ModelSpec model = robots::analyzeBenchmark(mobile());
     MpcOptions opt = mobile().options;
     opt.horizon = 10;
-    opt.solveTraceCapacity = 64;
     IpmSolver solver(model, opt);
     auto r = solver.solve(mobile().initialState, mobile().reference);
     EXPECT_EQ(r.status, SolveStatus::Converged);
@@ -393,36 +392,23 @@ TEST(SolveTrace, SolverRecordsEveryIteration)
               solver.lastStats().iterations);
 }
 
-TEST(SolveTrace, CapacityZeroSolverSkipsRecording)
-{
-    dsl::ModelSpec model = robots::analyzeBenchmark(mobile());
-    MpcOptions opt = mobile().options;
-    opt.horizon = 10;
-    opt.solveTraceCapacity = 0;
-    IpmSolver solver(model, opt);
-    solver.solve(mobile().initialState, mobile().reference);
-    EXPECT_TRUE(solver.lastStats().trace.empty());
-    EXPECT_FALSE(solver.lastStats().trace.enabled());
-}
-
 TEST(SolveTrace, FormatRendersBannerAndRows)
 {
-    dsl::ModelSpec model = robots::analyzeBenchmark(mobile());
-    MpcOptions opt = mobile().options;
-    opt.horizon = 10;
-    opt.solveTraceCapacity = 2; // Force drops on a multi-iter solve.
-    IpmSolver solver(model, opt);
-    solver.solve(mobile().initialState, mobile().reference);
+    SolveTrace trace;
+    trace.configure(2);
+    for (int i = 1; i <= 3; ++i) {
+        IterationRecord rec;
+        rec.iteration = i;
+        trace.push(rec); // The third push drops the first.
+    }
 
-    const std::string text =
-        formatSolveTrace("mobile", solver.lastStats().trace);
-    EXPECT_NE(text.find("Begin Solve Trace ( mobile )"),
+    const std::string text = formatSolveTrace("ring", trace);
+    EXPECT_NE(text.find("Begin Solve Trace ( ring )"),
               std::string::npos);
     EXPECT_NE(text.find("End Solve Trace"), std::string::npos);
     EXPECT_NE(text.find("iter"), std::string::npos);
-    if (solver.lastStats().iterations > 2) {
-        EXPECT_NE(text.find("dropped"), std::string::npos);
-    }
+    EXPECT_NE(text.find("1 earlier iteration(s) dropped (ring capacity 2)"),
+              std::string::npos);
 
     SolveTrace empty;
     empty.configure(4);

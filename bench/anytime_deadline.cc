@@ -1,7 +1,7 @@
 /**
  * @file
  * Anytime-MPC deadline study: closed-loop behavior of the solver's
- * wall-clock budget (MpcOptions::solveDeadlineSeconds).
+ * wall-clock budget (IpmSolver::setSolveDeadline, off by default).
  *
  * Phase 1 profiles the unconstrained solve-latency distribution of a
  * warm-started MobileRobot controller; the p50/p99 percentiles from
@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "mpc/failsafe.hh"
 #include "mpc/ipm.hh"
 #include "mpc/simulate.hh"
+#include "support/stats.hh"
 
 namespace
 {
@@ -29,7 +29,6 @@ namespace
 using robox::Vector;
 using robox::mpc::IpmSolver;
 using robox::mpc::Plant;
-using robox::mpc::SolverHealth;
 using robox::mpc::SolveStatus;
 
 constexpr int kSteps = 300;
@@ -38,25 +37,28 @@ struct RolloutResult
 {
     double finalError = 0.0;    //!< Inf-norm tracking error at the end.
     double meanIterations = 0.0; //!< IPM iterations per control period.
+    int deadlineMisses = 0;      //!< Solves stopped by the budget.
+    /** Per-solve wall time, seconds. */
+    robox::stats::Histogram latency{"solve_seconds", "Per-solve wall time",
+                                    0.0, 0.02, 64};
 };
 
-/** Closed-loop rollout recording every solve into health. */
+/** Closed-loop rollout recording every solve's latency and status. */
 RolloutResult
 rollout(IpmSolver &solver, const Plant &plant,
-        const robox::robots::Benchmark &bench, SolverHealth &health)
+        const robox::robots::Benchmark &bench)
 {
     const double dt = solver.problem().options().dt;
     Vector x = bench.initialState;
     long iterations = 0;
+    RolloutResult result;
     for (int step = 0; step < kSteps; ++step) {
         const IpmSolver::Result &r = solver.solve(x, bench.reference);
-        health.record(solver.lastStats());
-        if (!robox::mpc::statusUsable(r.status))
-            health.recordDegraded();
+        result.latency.sample(solver.lastStats().solveSeconds);
+        result.deadlineMisses += r.status == SolveStatus::DeadlineMiss;
         iterations += r.iterations;
         x = plant.step(x, r.u0, bench.reference, dt);
     }
-    RolloutResult result;
     for (std::size_t i = 0; i < bench.reference.size(); ++i)
         result.finalError = std::max(
             result.finalError, std::abs(x[i] - bench.reference[i]));
@@ -86,14 +88,14 @@ main(int argc, char **argv)
 
     // Phase 1: latency profile with the deadline disabled.
     IpmSolver profiled(model, opt);
-    SolverHealth profile("unconstrained_profile", 0.02);
-    rollout(profiled, plant, bench, profile);
-    const double p50 = profile.latency().percentile(0.5);
-    const double p99 = profile.latency().percentile(0.99);
+    const robox::stats::Histogram latency =
+        rollout(profiled, plant, bench).latency;
+    const double p50 = latency.percentile(0.5);
+    const double p99 = latency.percentile(0.99);
     std::printf("\nunconstrained solve latency over %d warm steps:\n",
                 kSteps);
     std::printf("  p50 %8.1f us   p99 %8.1f us   max %8.1f us\n",
-                p50 * 1e6, p99 * 1e6, profile.latency().max() * 1e6);
+                p50 * 1e6, p99 * 1e6, latency.max() * 1e6);
 
     // Phase 2: budgets derived from the measured percentiles.
     struct Budget
@@ -113,13 +115,10 @@ main(int argc, char **argv)
     for (const Budget &b : budgets) {
         IpmSolver solver(model, opt);
         solver.setSolveDeadline(b.seconds);
-        SolverHealth health("deadline_sweep", 0.02);
-        const RolloutResult run = rollout(solver, plant, bench, health);
-        const double solves = static_cast<double>(health.solves());
-        const double misses =
-            health.statusCount(SolveStatus::DeadlineMiss);
+        const RolloutResult run = rollout(solver, plant, bench);
+        const double misses = run.deadlineMisses;
         std::printf("%-8s %12.1f %7.1f%% %10.2f %10.4f %10.0f\n",
-                    b.label, b.seconds * 1e6, 100.0 * misses / solves,
+                    b.label, b.seconds * 1e6, 100.0 * misses / kSteps,
                     run.meanIterations, run.finalError, misses);
     }
 

@@ -76,6 +76,7 @@
 #include "mpc/status.hh"
 #include "mpc/timeline.hh"
 #include "support/checkpoint.hh"
+#include "support/hash.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -90,6 +91,7 @@ using robox::mpc::FleetTimeline;
 using robox::mpc::MpcOptions;
 using robox::mpc::Plant;
 using robox::mpc::SolveStatus;
+using robox::support::splitmix64;
 
 const char *kDoubleIntegrator = R"(
 System DoubleIntegrator( param a_max ) {
@@ -124,17 +126,6 @@ struct CrashPlan
     int crashes = 2;         //!< Simulated kills per storm.
     std::string dir = ".";   //!< Checkpoint / postmortem directory.
 };
-
-/** The same splitmix64 finalizer the chaos and fault engines use, so
- *  the crash schedule is a pure function of (seed, storm, index). */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Deterministic, sorted, deduplicated batch indices at which a storm
  *  is killed. Every index lands after the first checkpoint exists, so
@@ -523,8 +514,8 @@ runLinkStorm(const robox::dsl::ModelSpec &model, const MpcOptions &opt,
 
     const robox::mpc::BatchReport &report = batch->report();
     const robox::mpc::LinkReport &link = report.overload.link;
-    result.uplinkDropped = link.uplinkDropped;
-    result.downlinkDropped = link.downlinkDropped;
+    result.uplinkDropped = link.uplink.dropped;
+    result.downlinkDropped = link.downlink.dropped;
     result.retransmits = link.retransmits;
     result.planMisses = link.planMisses;
     result.statesExtrapolated = link.statesExtrapolated;

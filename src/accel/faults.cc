@@ -5,6 +5,7 @@
 
 #include "accel/faults.hh"
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace robox::accel
@@ -13,15 +14,7 @@ namespace robox::accel
 namespace
 {
 
-/** splitmix64 finalizer: a fast, well-mixed 64-bit permutation. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using support::splitmix64;
 
 /** Hash of one access identity under one seed. Chained mixes keep the
  *  site/cycle/word contributions from cancelling each other. */
@@ -29,10 +22,10 @@ std::uint64_t
 accessHash(std::uint64_t seed, FaultSite site, std::uint64_t cycle,
            std::uint64_t word)
 {
-    std::uint64_t h = mix64(seed ^ 0x5bf03635f0a5a8d5ull);
-    h = mix64(h ^ static_cast<std::uint64_t>(site));
-    h = mix64(h ^ cycle);
-    h = mix64(h ^ word);
+    std::uint64_t h = splitmix64(seed ^ 0x5bf03635f0a5a8d5ull);
+    h = splitmix64(h ^ static_cast<std::uint64_t>(site));
+    h = splitmix64(h ^ cycle);
+    h = splitmix64(h ^ word);
     return h;
 }
 
@@ -63,7 +56,7 @@ FaultInjector::faultBitAt(FaultSite site, std::uint64_t cycle,
         return campaign_.targetBit & 31;
     // Derive the bit from an independent mix so it is not correlated
     // with the strike decision.
-    return static_cast<int>(mix64(h) & 31);
+    return static_cast<int>(splitmix64(h) & 31);
 }
 
 Fixed

@@ -138,20 +138,6 @@ class Controller
         return backup_.consecutiveDegraded();
     }
 
-    /** Distinct backup-tail stages still unreplayed before the backup
-     *  command pins to the plan's final input. */
-    std::size_t backupTailRemaining() const
-    {
-        return backup_.remainingTail();
-    }
-
-    /** Distinct backup-tail stages consumed since the last accepted
-     *  plan (how deep into open-loop execution the controller is). */
-    std::size_t backupStagesReplayed() const
-    {
-        return backup_.stagesReplayed();
-    }
-
     const dsl::ModelSpec &model() const { return model_; }
     const mpc::MpcProblem &problem() const { return solver_->problem(); }
     mpc::IpmSolver &solver() { return *solver_; }

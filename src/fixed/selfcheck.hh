@@ -40,8 +40,8 @@ parity32(std::uint32_t word)
 
 /**
  * Detection/recovery counters of one self-checked execution. Embedded
- * in NumericHealth so the report rides SolveStats into SolverHealth,
- * BatchReport, and batchMetricsJson without new plumbing.
+ * in NumericHealth so the report rides SolveStats into BatchReport and
+ * batchMetricsJson without new plumbing.
  */
 struct SelfCheckStats
 {

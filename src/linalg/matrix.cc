@@ -343,15 +343,6 @@ Matrix::addDiagonal(double s)
 }
 
 double
-Matrix::normFro() const
-{
-    double acc = 0.0;
-    for (double v : data_)
-        acc += v * v;
-    return std::sqrt(acc);
-}
-
-double
 Matrix::normMax() const
 {
     double m = 0.0;

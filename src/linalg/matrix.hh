@@ -117,8 +117,6 @@ class Matrix
     Matrix mulTranspose(const Matrix &o) const;
     /** Add s * I in place. */
     void addDiagonal(double s);
-    /** Frobenius norm. */
-    double normFro() const;
     /** Max absolute element. */
     double normMax() const;
     /** Copy a block into a new matrix. */

@@ -40,6 +40,7 @@ BatchController::BatchController(const dsl::ModelSpec &model,
     priority_.assign(num_robots, 0.0);
     ewma_.assign(num_robots, 0.0);
     decisions_.assign(num_robots, ServiceRung::Full);
+    solved_.assign(num_robots, 0);
     scale_.assign(num_robots, 1.0);
     order_.reserve(num_robots);
     prev_decisions_.assign(num_robots, ServiceRung::Full);
@@ -265,14 +266,14 @@ BatchController::applyBudgets()
             // via the deterministic iteration cap so runs replay
             // bitwise. Without one, also bound the real wall cost to
             // this robot's share of the batch budget.
-            solver.setSolveDeadline(cost_hook_
-                                        ? options_.solveDeadlineSeconds
-                                        : scale_[i] * ewma_[i]);
+            solver.setSolveDeadline(cost_hook_ ? -1.0
+                                               : scale_[i] * ewma_[i]);
         } else {
-            // Restore base budgets: robots admitted at full budget
-            // must be bitwise identical to an unloaded serial solve.
+            // Restore base budgets (no deadline, the base iteration
+            // cap): robots admitted at full budget must be bitwise
+            // identical to an unloaded serial solve.
             solver.setMaxIterations(options_.maxIterations);
-            solver.setSolveDeadline(options_.solveDeadlineSeconds);
+            solver.setSolveDeadline(-1.0);
         }
     }
 }
@@ -315,6 +316,7 @@ BatchController::solveOne(std::size_t i)
     if (backups_[i].settle(results_[i], solver) &&
         decisions_[i] == ServiceRung::Degraded)
         results_[i].status = SolveStatus::DegradedBudget;
+    solved_[i] = 1;
 }
 
 void
@@ -337,10 +339,15 @@ BatchController::drainQueue()
             // this robot: stamp the failure, serve its backup command,
             // and keep draining so the rest of the fleet still gets
             // its commands. Nothing is rethrown — the incident lands
-            // in report().lastBatchExceptions for postmortems.
-            results_[i].status = SolveStatus::NumericFailure;
-            results_[i].converged = false;
-            backups_[i].serve(results_[i]);
+            // in report().lastBatchExceptions for postmortems. The
+            // robot counts as unsolved: its solver's lastStats() and
+            // results_[i] may still describe an earlier batch.
+            IpmSolver::Result &r = results_[i];
+            r.status = SolveStatus::NumericFailure;
+            r.converged = false;
+            r.iterations = 0;
+            r.objective = 0.0;
+            backups_[i].serve(r);
             std::lock_guard<std::mutex> lock(mutex_);
             ++thrown_;
             // Deterministic postmortem policy: whatever the thread
@@ -396,12 +403,9 @@ BatchController::finishLinkPeriod()
     // becomes a sequence-numbered plan downlink, then the link runs
     // retransmits, drains deliveries into the robot-side buffers, and
     // decides what each robot actually executed.
-    for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        const bool solved = decisions_[i] == ServiceRung::Full ||
-                            decisions_[i] == ServiceRung::Degraded;
-        if (solved && statusUsable(results_[i].status))
+    for (std::size_t i = 0; i < solvers_.size(); ++i)
+        if (solved_[i] && statusUsable(results_[i].status))
             link_->sendPlan(i, solvers_[i]->inputTrajectory());
-    }
     link_->finishPeriod();
 
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
@@ -435,34 +439,29 @@ BatchController::updateCostModel()
     constexpr double recovery = 0.5;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         batch_cost_[i] = 0.0;
-        switch (decisions_[i]) {
-          case ServiceRung::Full:
-          case ServiceRung::Degraded: {
+        const ServiceRung d = decisions_[i];
+        if (solved_[i]) {
             const double measured = solvers_[i]->lastStats().solveSeconds;
             const double cost =
                 cost_hook_ ? cost_hook_(i, measured) : measured;
             if (!(cost >= 0.0) || !std::isfinite(cost))
-                break; // Refuse NaN/negative costs from a buggy hook.
+                continue; // Refuse NaN/negative costs from a buggy hook.
             batch_cost_[i] = cost;
             ewma_[i] = ewma_[i] <= 0.0
                            ? cost
                            : (1.0 - alpha) * ewma_[i] + alpha * cost;
-            break;
-          }
-          case ServiceRung::Backup:
-          case ServiceRung::Shed:
+        } else if (d == ServiceRung::Backup || d == ServiceRung::Shed) {
             // No fresh measurement. Decay the estimate so a demoted
             // robot is eventually re-admitted, remeasured, and — if
             // still expensive — re-demoted.
             ewma_[i] *= recovery;
             batch_cost_[i] =
-                decisions_[i] == ServiceRung::Backup
+                d == ServiceRung::Backup
                     ? std::max(0.0, options_.overloadBackupCostSeconds)
                     : 0.0;
-            break;
-          case ServiceRung::BadInput:
-            break; // Not solved, but its compute cost did not change.
         }
+        // Bad input or a quarantined solve: no measurement, and the
+        // robot's compute cost did not change.
     }
 }
 
@@ -486,7 +485,7 @@ BatchController::recordTimeline()
                 m.to = d;
                 timeline_.recordMarker(m);
             }
-            if (d == ServiceRung::Full || d == ServiceRung::Degraded) {
+            if (solved_[i]) {
                 FleetTimeline::SolveSpan span;
                 span.robot = robot;
                 span.batch = batch;
@@ -502,16 +501,18 @@ BatchController::recordTimeline()
                 m.batch = batch;
                 m.atSeconds = virtual_now_;
                 switch (d) {
-                  case ServiceRung::Backup:
-                    m.kind = poisoned_[i]
-                                 ? TimelineMarker::SensorDemoted
-                                 : TimelineMarker::ServedFromBackup;
-                    break;
                   case ServiceRung::Shed:
                     m.kind = TimelineMarker::Shed;
                     break;
-                  default:
+                  case ServiceRung::BadInput:
                     m.kind = TimelineMarker::BadInput;
+                    break;
+                  default:
+                    // The backup rung, or a quarantined solve: both
+                    // served the backup tail.
+                    m.kind = poisoned_[i]
+                                 ? TimelineMarker::SensorDemoted
+                                 : TimelineMarker::ServedFromBackup;
                     break;
                 }
                 timeline_.recordMarker(m);
@@ -562,6 +563,7 @@ BatchController::solveAll(const std::vector<Vector> &states,
     thrown_ = 0;
 
     std::fill(decisions_.begin(), decisions_.end(), ServiceRung::Full);
+    std::fill(solved_.begin(), solved_.end(), 0);
     std::fill(scale_.begin(), scale_.end(), 1.0);
     if (link_) {
         // Uplink half of the period: robots transmit, channels impair,
@@ -618,22 +620,16 @@ BatchController::solveAll(const std::vector<Vector> &states,
         seconds > 0.0 ? static_cast<double>(solvers_.size()) / seconds
                       : 0.0;
     report_.lastBatchAllocations = 0;
-    report_.lastBatchFailures = 0;
     report_.lastBatchSaturations = 0;
     report_.lastBatchDivByZeros = 0;
     report_.lastBatchFaultsInjected = 0;
-    report_.lastBatchNumericDegraded = 0;
-    report_.lastBatchAccelFaults = 0;
     report_.lastBatchSelfCheck = SelfCheckStats();
-    OverloadReport &ov = report_.overload;
-    ov.lastBatchDegraded = 0;
-    ov.lastBatchServedFromBackup = 0;
-    ov.lastBatchShed = 0;
-    ov.lastBatchBadInput = 0;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
-        const bool solved = decisions_[i] == ServiceRung::Full ||
-                            decisions_[i] == ServiceRung::Degraded;
-        if (solved) {
+        // results_[i].status is authoritative: the overload ladder,
+        // sensor gate, and exception path all stamp it without going
+        // through the solver.
+        report_.statuses[i] = results_[i].status;
+        if (solved_[i]) {
             const SolveStats &st = solvers_[i]->lastStats();
             report_.totalIterations +=
                 static_cast<std::uint64_t>(st.iterations);
@@ -650,37 +646,8 @@ BatchController::solveAll(const std::vector<Vector> &states,
             report_.lastBatchFaultsInjected += st.numeric.faultsInjected;
             report_.lastBatchSelfCheck.merge(st.numeric.selfCheck);
         }
-        // results_[i].status is authoritative: the overload ladder,
-        // sensor gate, and exception path all stamp it without going
-        // through the solver.
-        const SolveStatus status = results_[i].status;
-        report_.statuses[i] = status;
-        if (!statusUsable(status))
-            report_.lastBatchFailures += 1;
-        switch (status) {
-          case SolveStatus::NumericDegraded:
-            report_.lastBatchNumericDegraded += 1;
-            break;
-          case SolveStatus::AccelFault:
-            report_.lastBatchAccelFaults += 1;
-            break;
-          case SolveStatus::DegradedBudget:
-            ov.lastBatchDegraded += 1;
-            break;
-          case SolveStatus::ServedFromBackup:
-            ov.lastBatchServedFromBackup += 1;
-            break;
-          case SolveStatus::Shed:
-            ov.lastBatchShed += 1;
-            break;
-          case SolveStatus::BadInput:
-            ov.lastBatchBadInput += 1;
-            break;
-          default:
-            break;
-        }
     }
-    report_.failures += report_.lastBatchFailures;
+    report_.failures += report_.lastBatchFailures();
     report_.lastBatchExceptions = thrown_;
     report_.exceptions += thrown_;
     report_.lastExceptionRobot = -1;
@@ -701,19 +668,21 @@ BatchController::solveAll(const std::vector<Vector> &states,
     report_.saturations += report_.lastBatchSaturations;
     report_.divByZeros += report_.lastBatchDivByZeros;
     report_.faultsInjected += report_.lastBatchFaultsInjected;
-    report_.accelFaults += report_.lastBatchAccelFaults;
+    report_.accelFaults += report_.lastBatch(SolveStatus::AccelFault);
     report_.selfCheck.merge(report_.lastBatchSelfCheck);
-    ov.degraded += ov.lastBatchDegraded;
-    ov.servedFromBackup += ov.lastBatchServedFromBackup;
-    ov.shed += ov.lastBatchShed;
-    ov.badInput += ov.lastBatchBadInput;
+    OverloadReport &ov = report_.overload;
+    ov.degraded += report_.lastBatch(SolveStatus::DegradedBudget);
+    ov.servedFromBackup +=
+        report_.lastBatch(SolveStatus::ServedFromBackup);
+    ov.shed += report_.lastBatch(SolveStatus::Shed);
+    ov.badInput += report_.lastBatch(SolveStatus::BadInput);
     ov.poisoned += ov.lastBatchPoisoned;
     ov.utilization = ov.budgetSeconds > 0.0
                          ? seconds / ov.budgetSeconds
                          : 0.0;
     ov.batchLatency.sample(seconds);
     if (link_)
-        ov.link = link_->report();
+        link_->report(ov.link);
 
     updateCostModel();
     recordTimeline();
@@ -729,7 +698,8 @@ BatchController::recordFlight()
 {
     if (!recorder_.enabled())
         return;
-    FlightRecord rec;
+    static const Vector kMissing;
+    FlightRecord &rec = flight_;
     rec.period = report_.batches - 1;
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
         rec.robot = static_cast<std::int32_t>(i);
@@ -744,10 +714,7 @@ BatchController::recordFlight()
         rec.degraded = results_[i].degraded;
         // states_ already points at the link-served view when the link
         // fabric is on: the recorder logs what the solver actually saw.
-        if (i < states_->size())
-            rec.state = (*states_)[i];
-        else
-            rec.state = Vector();
+        rec.state = i < states_->size() ? (*states_)[i] : kMissing;
         rec.command = results_[i].u0;
         recorder_.push(rec);
     }
@@ -827,26 +794,21 @@ BatchController::transfer(Io &io, Self &self)
     for (auto &status : rp.statuses)
         if (!enumField<std::uint32_t>(io, status, SolveStatus::Shed))
             return false;
-    if (!field(io, rp.lastBatchFailures) || !field(io, rp.failures) ||
-        !field(io, rp.lastBatchExceptions) || !field(io, rp.exceptions) ||
-        !field(io, rp.lastExceptionRobot) ||
+    if (!field(io, rp.failures) || !field(io, rp.lastBatchExceptions) ||
+        !field(io, rp.exceptions) || !field(io, rp.lastExceptionRobot) ||
         !field(io, rp.lastExceptionMessage) ||
         !field(io, rp.lastBatchSaturations) ||
         !field(io, rp.lastBatchDivByZeros) ||
         !field(io, rp.lastBatchFaultsInjected) ||
         !field(io, rp.saturations) || !field(io, rp.divByZeros) ||
-        !field(io, rp.faultsInjected) ||
-        !field(io, rp.lastBatchNumericDegraded) ||
-        !field(io, rp.lastBatchAccelFaults) || !field(io, rp.accelFaults) ||
+        !field(io, rp.faultsInjected) || !field(io, rp.accelFaults) ||
         !transferSelfCheck(io, rp.lastBatchSelfCheck) ||
         !transferSelfCheck(io, rp.selfCheck))
         return false;
     auto &ov = rp.overload;
     if (!field(io, ov.budgetSeconds) || !field(io, ov.projectedSeconds) ||
         !field(io, ov.admittedSeconds) || !field(io, ov.utilization) ||
-        !field(io, ov.overloadedBatches) || !field(io, ov.lastBatchDegraded) ||
-        !field(io, ov.lastBatchServedFromBackup) ||
-        !field(io, ov.lastBatchShed) || !field(io, ov.lastBatchBadInput) ||
+        !field(io, ov.overloadedBatches) ||
         !field(io, ov.lastBatchPoisoned) || !field(io, ov.degraded) ||
         !field(io, ov.servedFromBackup) || !field(io, ov.shed) ||
         !field(io, ov.badInput) || !field(io, ov.poisoned) ||
@@ -898,12 +860,13 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
     using stats::Scalar;
     using stats::StatGroup;
 
-    auto scalar = [](const char *name, const char *desc, double v) {
+    auto scalar = [](const std::string &name, const std::string &desc,
+                     double v) {
         Scalar s(name, desc);
         s.set(v);
         return s;
     };
-    auto count = [&](const char *name, const char *desc,
+    auto count = [&](const std::string &name, const std::string &desc,
                      std::uint64_t v) {
         return scalar(name, desc, static_cast<double>(v));
     };
@@ -926,7 +889,7 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
                             report.lastBatchAllocations));
     scalars.push_back(count("lastBatchFailures",
                             "non-usable solves in the last batch",
-                            report.lastBatchFailures));
+                            report.lastBatchFailures()));
     scalars.push_back(count("failures", "lifetime non-usable solves",
                             report.failures));
     scalars.push_back(count("exceptions",
@@ -940,7 +903,8 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
                             report.faultsInjected));
     scalars.push_back(count("numericDegraded",
                             "NumericDegraded solves, last batch",
-                            report.lastBatchNumericDegraded));
+                            report.lastBatch(
+                                SolveStatus::NumericDegraded)));
     scalars.push_back(count("accelFaults",
                             "lifetime AccelFault solves",
                             report.accelFaults));
@@ -983,31 +947,22 @@ batchMetricsJson(const BatchReport &report, bool include_timing)
     // chaos decisions, never the wall clock), so unlike the timing
     // fields below they are part of the replay-stable snapshot.
     const LinkReport &ln = ov.link;
-    scalars.push_back(count("linkUplinkSent", "uplink transmissions",
-                            ln.uplinkSent));
-    scalars.push_back(count("linkUplinkDropped", "uplinks lost",
-                            ln.uplinkDropped));
-    scalars.push_back(count("linkUplinkDelivered", "uplinks delivered",
-                            ln.uplinkDelivered));
-    scalars.push_back(count("linkUplinkDuplicates",
-                            "uplink duplicate copies",
-                            ln.uplinkDuplicates));
-    scalars.push_back(count("linkUplinkReordered",
-                            "uplinks delivered behind a newer seq",
-                            ln.uplinkReordered));
-    scalars.push_back(count("linkDownlinkSent",
-                            "downlink transmissions", ln.downlinkSent));
-    scalars.push_back(count("linkDownlinkDropped", "downlinks lost",
-                            ln.downlinkDropped));
-    scalars.push_back(count("linkDownlinkDelivered",
-                            "downlinks delivered",
-                            ln.downlinkDelivered));
-    scalars.push_back(count("linkDownlinkDuplicates",
-                            "downlink duplicate copies",
-                            ln.downlinkDuplicates));
-    scalars.push_back(count("linkDownlinkReordered",
-                            "downlinks delivered behind a newer seq",
-                            ln.downlinkReordered));
+    for (const bool up : {true, false}) {
+        const LinkChannelReport &c = up ? ln.uplink : ln.downlink;
+        const std::string name = up ? "linkUplink" : "linkDownlink";
+        const std::string what = up ? "uplink" : "downlink";
+        scalars.push_back(
+            count(name + "Sent", what + " transmissions", c.sent));
+        scalars.push_back(
+            count(name + "Dropped", what + "s lost", c.dropped));
+        scalars.push_back(
+            count(name + "Delivered", what + "s delivered", c.delivered));
+        scalars.push_back(count(name + "Duplicates",
+                                what + " duplicate copies", c.duplicates));
+        scalars.push_back(count(name + "Reordered",
+                                what + "s delivered behind a newer seq",
+                                c.reordered));
+    }
     scalars.push_back(count("linkRetransmits",
                             "plan retransmissions", ln.retransmits));
     scalars.push_back(count("linkAcksDelivered",

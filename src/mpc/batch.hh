@@ -47,6 +47,7 @@
 #ifndef ROBOX_MPC_BATCH_HH
 #define ROBOX_MPC_BATCH_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -88,16 +89,13 @@ struct OverloadReport
     /** Batches whose pre-admission projection exceeded the budget. */
     std::uint64_t overloadedBatches = 0;
 
-    /** Last-batch admission decisions. */
-    std::uint64_t lastBatchDegraded = 0;
-    std::uint64_t lastBatchServedFromBackup = 0;
-    std::uint64_t lastBatchShed = 0;
-    std::uint64_t lastBatchBadInput = 0;
-    /** Robots demoted pre-solve by the sensor gate (subset of
-     *  lastBatchServedFromBackup). */
+    /** Robots demoted pre-solve by the sensor gate in the last batch
+     *  (a subset of its ServedFromBackup robots; the other last-batch
+     *  decisions are BatchReport::lastBatch(status)). */
     std::uint64_t lastBatchPoisoned = 0;
 
-    /** Lifetime sums of the per-batch decision counts above. */
+    /** Lifetime counts of the DegradedBudget, ServedFromBackup, Shed
+     *  and BadInput statuses, and of sensor-gate demotions. */
     std::uint64_t degraded = 0;
     std::uint64_t servedFromBackup = 0;
     std::uint64_t shed = 0;
@@ -133,20 +131,39 @@ struct BatchReport
      *  once every solver is warm. */
     std::uint64_t lastBatchAllocations = 0;
     /** Per-robot status of the last batch (size robots). Faults are
-     *  isolated: one robot's failure never perturbs the others. */
+     *  isolated: one robot's failure never perturbs the others. This
+     *  is the one tally of last-batch outcomes; the lifetime counts
+     *  below are summed from it. */
     std::vector<SolveStatus> statuses;
-    /** Solves in the last batch whose status was not usable (includes
-     *  robots served from backup or shed by the overload ladder). */
-    std::uint64_t lastBatchFailures = 0;
+
+    /** Robots in the last batch whose status was `status`. */
+    std::uint64_t lastBatch(SolveStatus status) const
+    {
+        return static_cast<std::uint64_t>(
+            std::count(statuses.begin(), statuses.end(), status));
+    }
+    /** Robots in the last batch whose status was not usable (includes
+     *  robots served from backup or shed by the overload ladder; 0
+     *  before the first batch). */
+    std::uint64_t lastBatchFailures() const
+    {
+        return static_cast<std::uint64_t>(std::count_if(
+            statuses.begin(), statuses.end(), [](SolveStatus s) {
+                return s != SolveStatus::Unsolved && !statusUsable(s);
+            }));
+    }
+
     /** Lifetime count of non-usable solves. */
     std::uint64_t failures = 0;
 
     /**
      * Unexpected exceptions escaping a robot's solve in the last batch.
      * Such a robot is quarantined (SolveStatus::NumericFailure plus its
-     * backup command) and the batch completes; nothing is rethrown —
-     * the serving loop must outlive any single robot's bug. The lowest
-     * throwing robot's index and message are kept for postmortems.
+     * backup command, zero iterations and objective) and counts as
+     * unsolved in the totals above; the batch completes and nothing
+     * is rethrown — the serving loop must outlive any single robot's
+     * bug. The lowest throwing robot's index and message are kept for
+     * postmortems.
      */
     std::uint64_t lastBatchExceptions = 0;
     /** Lifetime count of quarantined exceptions. */
@@ -172,12 +189,8 @@ struct BatchReport
     std::uint64_t saturations = 0;
     std::uint64_t divByZeros = 0;
     std::uint64_t faultsInjected = 0;
-    /** Robots in the last batch whose solve was NumericDegraded. */
-    std::uint64_t lastBatchNumericDegraded = 0;
-    /** Robots in the last batch whose solve was AccelFault (the
-     *  self-check recovery ladder hit the CPU-fallback rung). */
-    std::uint64_t lastBatchAccelFaults = 0;
-    /** Lifetime AccelFault solves. */
+    /** Lifetime AccelFault solves (the self-check recovery ladder hit
+     *  the CPU-fallback rung). */
     std::uint64_t accelFaults = 0;
 
     /**
@@ -407,6 +420,9 @@ class BatchController
     std::vector<double> priority_;
     std::vector<double> ewma_;      //!< Per-robot cost model, seconds.
     std::vector<ServiceRung> decisions_; //!< This batch's admissions.
+    /** 1 when robot i's solver returned this batch (and the robot was
+     *  not quarantined): only then are its lastStats() this batch's. */
+    std::vector<std::uint8_t> solved_;
     std::vector<double> scale_;     //!< Budget scale for Degraded.
     std::vector<std::size_t> order_; //!< Admission service order scratch.
     CostHook cost_hook_;
@@ -421,6 +437,7 @@ class BatchController
     std::vector<double> batch_cost_; //!< Modeled cost of this batch.
 
     FlightRecorder recorder_; //!< Black-box ring (coordinator only).
+    FlightRecord flight_;     //!< Reused record storage for recordFlight.
 
     // Current batch inputs (valid only while solveAll is running).
     const std::vector<Vector> *states_ = nullptr;

@@ -9,22 +9,15 @@
 #include <cmath>
 #include <limits>
 
+#include "support/hash.hh"
+
 namespace robox::mpc
 {
 
 namespace
 {
 
-/** splitmix64 finalizer — same permutation as accel/faults.cc, so the
- *  chaos engine inherits its statistical quality and portability. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using support::splitmix64;
 
 /** Chained hash of one (channel, batch, robot) identity under one
  *  seed. Distinct per-channel salts keep the stall/burst/poison
@@ -33,9 +26,9 @@ std::uint64_t
 chaosHash(std::uint64_t seed, std::uint64_t salt, std::uint64_t batch,
           std::uint64_t robot)
 {
-    std::uint64_t h = mix64(seed ^ salt);
-    h = mix64(h ^ batch);
-    h = mix64(h ^ robot);
+    std::uint64_t h = splitmix64(seed ^ salt);
+    h = splitmix64(h ^ batch);
+    h = splitmix64(h ^ robot);
     return h;
 }
 
@@ -61,8 +54,8 @@ linkHash(std::uint64_t seed, std::uint64_t salt, robox::mpc::LinkDirection dir,
          std::uint64_t batch, std::uint64_t robot, std::uint64_t nonce)
 {
     std::uint64_t h = chaosHash(seed, salt, batch, robot);
-    h = mix64(h ^ static_cast<std::uint64_t>(dir));
-    return mix64(h ^ nonce);
+    h = splitmix64(h ^ static_cast<std::uint64_t>(dir));
+    return splitmix64(h ^ nonce);
 }
 
 } // namespace
@@ -142,7 +135,7 @@ ChaosEngine::linkDelayAt(LinkDirection dir, std::uint64_t batch,
     // Magnitude from an independent mix so it is uncorrelated with
     // the fire decision; uniform over 1..max.
     const auto max = static_cast<std::uint64_t>(spec_.linkDelayPeriodsMax);
-    return static_cast<int>(1 + mix64(h) % max);
+    return static_cast<int>(1 + splitmix64(h) % max);
 }
 
 bool
@@ -207,7 +200,7 @@ ChaosEngine::poisonAt(std::uint64_t batch, std::size_t robot) const
             continue;
         // Kind from an independent mix so it is not correlated with
         // the start decision; constant across the episode.
-        switch (mix64(h) & 3) {
+        switch (splitmix64(h) & 3) {
           case 0: return PoisonKind::NonFinite;
           case 1: return PoisonKind::OutOfRange;
           case 2: return PoisonKind::Jump;
@@ -246,11 +239,11 @@ ChaosEngine::poisonState(std::uint64_t batch, std::size_t robot,
     // Component and sign from an independent mix of the identity hash
     // (component constant across an episode would also be fine, but
     // keying on the current batch exercises more of the gate).
-    std::uint64_t h = mix64(chaosHash(spec_.seed, kPoisonSalt ^ 0x11ull,
-                                      batch,
-                                      static_cast<std::uint64_t>(robot)));
+    std::uint64_t h =
+        splitmix64(chaosHash(spec_.seed, kPoisonSalt ^ 0x11ull, batch,
+                             static_cast<std::uint64_t>(robot)));
     std::size_t j = static_cast<std::size_t>(h % x.size());
-    double sign = (mix64(h) & 1) ? 1.0 : -1.0;
+    double sign = (splitmix64(h) & 1) ? 1.0 : -1.0;
     switch (kind) {
       case PoisonKind::NonFinite:
         x[j] = std::numeric_limits<double>::quiet_NaN();

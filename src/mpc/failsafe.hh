@@ -12,11 +12,6 @@
  * period, so BackupPlan replays it and keeps advancing along the tail
  * for consecutive failures, holding the final input (clamped to the
  * actuator box) once the tail is exhausted.
- *
- * SolverHealth aggregates solve outcomes and latency into the
- * support/stats framework so long-running fleets can report status
- * counts and p50/p99 solve time in the same greppable format as the
- * accelerator simulator.
  */
 
 #ifndef ROBOX_MPC_FAILSAFE_HH
@@ -29,7 +24,6 @@
 #include "mpc/ipm.hh"
 #include "mpc/status.hh"
 #include "support/checkpoint.hh"
-#include "support/stats.hh"
 
 namespace robox::mpc
 {
@@ -134,69 +128,6 @@ class BackupPlan
     std::size_t cursor_ = 0;   //!< Next tail stage to replay.
     int consecutive_ = 0;
     Vector command_;           //!< Clamped command storage.
-};
-
-/**
- * Aggregated solver-health statistics for a run: per-status solve
- * counts, recovery-ladder activity, and a solve-latency histogram
- * whose percentiles (support/stats Histogram::percentile) are what a
- * deployment uses to pick MpcOptions::solveDeadlineSeconds.
- */
-class SolverHealth
-{
-  public:
-    /**
-     * @param name Stat-group name (e.g. "solver_health").
-     * @param latency_hi Upper edge of the latency histogram, seconds.
-     */
-    explicit SolverHealth(const std::string &name,
-                          double latency_hi = 0.05);
-
-    /** Record one solve outcome. */
-    void record(const SolveStats &stats);
-
-    /** Record a control-layer backup-command substitution. */
-    void recordDegraded() { ++degraded_; }
-
-    std::uint64_t solves() const
-    {
-        return static_cast<std::uint64_t>(solves_.value());
-    }
-    double statusCount(SolveStatus status) const;
-    const stats::Histogram &latency() const { return latency_; }
-
-    /** Render the group (gem5-style aligned dump). */
-    std::string dump() const { return group_.dump(); }
-    void reset() { group_.resetAll(); }
-
-  private:
-    stats::StatGroup group_;
-    stats::Scalar solves_;
-    stats::Scalar converged_;
-    stats::Scalar maxIterations_;
-    stats::Scalar deadlineMisses_;
-    stats::Scalar numericFailures_;
-    stats::Scalar diverged_;
-    stats::Scalar badInput_;
-    stats::Scalar numericDegraded_;
-    stats::Scalar accelFaults_;
-    stats::Scalar degradedBudget_;
-    stats::Scalar servedFromBackup_;
-    stats::Scalar shed_;
-    stats::Scalar recoveryAttempts_;
-    stats::Scalar coldRestarts_;
-    stats::Scalar degraded_;
-    stats::Scalar saturations_;
-    stats::Scalar divByZeros_;
-    stats::Scalar faultsInjected_;
-    // Self-checking execution (MpcOptions::accelSelfCheck): on-line
-    // detections and recovery-ladder activity, from
-    // SolveStats::numeric.selfCheck.
-    stats::Scalar parityErrors_;
-    stats::Scalar accelReexecutions_;
-    stats::Scalar accelReloads_;
-    stats::Scalar accelCpuFallbacks_;
-    stats::Histogram latency_;
 };
 
 } // namespace robox::mpc

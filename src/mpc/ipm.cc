@@ -442,7 +442,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
     int backoffs = 0;
     int cold_restarts = 0;
     SolveStatus final_status = SolveStatus::MaxIterations;
-    const bool deadline_active = opt.solveDeadlineSeconds >= 0.0;
+    const double deadline = problem_.solveDeadline();
     auto elapsed = [&] {
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t_start)
@@ -606,7 +606,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         // return the best strictly feasible iterate so far. With a
         // zero budget this fires before the first iteration and the
         // warm-shifted previous plan is returned as-is.
-        if (deadline_active && elapsed() >= opt.solveDeadlineSeconds) {
+        if (deadline >= 0.0 && elapsed() >= deadline) {
             final_status = SolveStatus::DeadlineMiss;
             break;
         }

@@ -68,132 +68,125 @@ FleetLink::FleetLink(const dsl::ModelSpec &model,
 }
 
 void
-FleetLink::transmitUplink(std::size_t i, const Vector &state)
+FleetLink::transmit(LinkDirection dir, std::size_t i, std::uint64_t seq,
+                    const Vector &state)
 {
     Endpoint &e = endpoints_[i];
-    const std::uint64_t ack = e.bufferedSeq;
+    const bool up = dir == LinkDirection::Uplink;
+    LinkChannelReport &counts = up ? totals_.uplink : totals_.downlink;
+    std::vector<Message> &queue = e.inFlight[static_cast<int>(dir)];
     // A transmission attempt per nonce: the primary is nonce 0, a
     // duplicate copy nonce 1. Each attempt draws its own drop and
     // delay decisions, so a duplicate can survive a dropped primary
     // (the recovery that makes duplication worth modeling).
     auto attempt = [&](std::uint64_t nonce) {
-        ++totals_.uplinkSent;
-        if (chaos_ && chaos_->linkDropAt(LinkDirection::Uplink, period_,
-                                         i, nonce)) {
-            ++totals_.uplinkDropped;
+        ++counts.sent;
+        if (chaos_ && chaos_->linkDropAt(dir, period_, i, nonce)) {
+            ++counts.dropped;
             return;
         }
         const int delay =
-            chaos_ ? chaos_->linkDelayAt(LinkDirection::Uplink, period_,
-                                         i, nonce)
-                   : 0;
-        UplinkMsg msg;
-        msg.seq = period_;
-        msg.sent = period_;
-        msg.deliverAt = period_ + static_cast<std::uint64_t>(delay);
-        msg.ackSeq = ack;
-        msg.duplicate = nonce != 0;
-        msg.state = state;
-        e.uplinkQueue.push_back(std::move(msg));
-    };
-    attempt(0);
-    if (chaos_ &&
-        chaos_->linkDupAt(LinkDirection::Uplink, period_, i, 0)) {
-        ++totals_.uplinkDuplicates;
-        attempt(1);
-    }
-}
-
-void
-FleetLink::transmitDownlink(std::size_t i, std::uint64_t seq,
-                            const std::vector<Vector> &plan)
-{
-    Endpoint &e = endpoints_[i];
-    auto attempt = [&](std::uint64_t nonce) {
-        ++totals_.downlinkSent;
-        if (chaos_ && chaos_->linkDropAt(LinkDirection::Downlink,
-                                         period_, i, nonce)) {
-            ++totals_.downlinkDropped;
-            return;
+            chaos_ ? chaos_->linkDelayAt(dir, period_, i, nonce) : 0;
+        if (spare_.empty()) {
+            queue.emplace_back();
+        } else {
+            queue.push_back(std::move(spare_.back()));
+            spare_.pop_back();
         }
-        const int delay =
-            chaos_ ? chaos_->linkDelayAt(LinkDirection::Downlink,
-                                         period_, i, nonce)
-                   : 0;
-        DownlinkMsg msg;
+        Message &msg = queue.back();
         msg.seq = seq;
         msg.sent = period_;
         msg.deliverAt = period_ + static_cast<std::uint64_t>(delay);
+        msg.ackSeq = up ? e.bufferedSeq : kNever;
         msg.duplicate = nonce != 0;
-        msg.plan = plan;
-        e.downlinkQueue.push_back(std::move(msg));
+        // Copy-assignment reuses the pooled payload's storage.
+        if (up)
+            msg.state = state;
+        else
+            msg.plan = e.lastPlan;
     };
     attempt(0);
-    if (chaos_ &&
-        chaos_->linkDupAt(LinkDirection::Downlink, period_, i, 0)) {
-        ++totals_.downlinkDuplicates;
+    if (chaos_ && chaos_->linkDupAt(dir, period_, i, 0)) {
+        ++counts.duplicates;
         attempt(1);
     }
 }
 
 void
-FleetLink::drainUplinks(std::size_t i)
+FleetLink::drain(LinkDirection dir, std::size_t i)
 {
     Endpoint &e = endpoints_[i];
+    const bool up = dir == LinkDirection::Uplink;
+    std::vector<Message> &queue = e.inFlight[static_cast<int>(dir)];
     // Partition out this period's deliveries, keeping the queue order
-    // for the rest. Delivery order is (deliverAt, seq, duplicate) —
-    // fully determined by the message identities, never by timing.
-    std::vector<UplinkMsg> due;
+    // for the rest.
     std::size_t keep = 0;
-    for (std::size_t k = 0; k < e.uplinkQueue.size(); ++k) {
-        if (e.uplinkQueue[k].deliverAt <= period_) {
-            due.push_back(std::move(e.uplinkQueue[k]));
+    for (std::size_t k = 0; k < queue.size(); ++k) {
+        if (queue[k].deliverAt <= period_) {
+            due_.push_back(std::move(queue[k]));
         } else {
             if (keep != k) // Self-move would clear the payload.
-                e.uplinkQueue[keep] = std::move(e.uplinkQueue[k]);
+                queue[keep] = std::move(queue[k]);
             ++keep;
         }
     }
-    e.uplinkQueue.resize(keep);
-    std::stable_sort(due.begin(), due.end(),
-                     [](const UplinkMsg &a, const UplinkMsg &b) {
-                         if (a.deliverAt != b.deliverAt)
-                             return a.deliverAt < b.deliverAt;
-                         if (a.seq != b.seq)
-                             return a.seq < b.seq;
-                         return !a.duplicate && b.duplicate;
-                     });
+    queue.resize(keep);
+    // Delivery order is (deliverAt, seq, duplicate) — fully determined
+    // by the message identities, never by timing. A stable insertion
+    // sort keeps equal keys in queue order without a sort buffer.
+    auto before = [](const Message &a, const Message &b) {
+        if (a.deliverAt != b.deliverAt)
+            return a.deliverAt < b.deliverAt;
+        if (a.seq != b.seq)
+            return a.seq < b.seq;
+        return !a.duplicate && b.duplicate;
+    };
+    for (std::size_t k = 1; k < due_.size(); ++k)
+        for (std::size_t j = k; j > 0 && before(due_[j], due_[j - 1]); --j)
+            std::swap(due_[j], due_[j - 1]);
 
+    LinkChannelReport &counts = up ? totals_.uplink : totals_.downlink;
+    std::uint64_t &max_seq =
+        up ? e.maxUpSeqDelivered : e.maxDownSeqDelivered;
     const auto nx = static_cast<std::size_t>(model_->nx());
-    for (const UplinkMsg &msg : due) {
-        ++totals_.uplinkDelivered;
+    for (Message &msg : due_) {
+        ++counts.delivered;
         e.latency.sample(static_cast<double>(period_ - msg.sent));
-        if (e.maxUpSeqDelivered != kNever &&
-            msg.seq < e.maxUpSeqDelivered)
-            ++totals_.uplinkReordered;
-        if (e.maxUpSeqDelivered == kNever ||
-            msg.seq > e.maxUpSeqDelivered)
-            e.maxUpSeqDelivered = msg.seq;
-        e.lastAnyDelivery = period_;
+        if (max_seq != kNever && msg.seq < max_seq)
+            ++counts.reordered;
+        if (max_seq == kNever || msg.seq > max_seq)
+            max_seq = msg.seq;
 
-        // Piggybacked ack: advances the controller's acked plan seq.
-        if (msg.ackSeq != kNever &&
-            (e.ackedSeq == kNever || msg.ackSeq > e.ackedSeq)) {
-            e.ackedSeq = msg.ackSeq;
-            ++totals_.acksDelivered;
+        if (up) {
+            e.lastAnyDelivery = period_;
+            // Piggybacked ack: advances the controller's acked plan
+            // seq.
+            if (msg.ackSeq != kNever &&
+                (e.ackedSeq == kNever || msg.ackSeq > e.ackedSeq)) {
+                e.ackedSeq = msg.ackSeq;
+                ++totals_.acksDelivered;
+            }
+            // Newest state wins; only a correctly shaped measurement
+            // may become the fresh-state baseline (a malformed one is
+            // still served — and rejected — when it is this period's).
+            if ((e.lastFreshSeq == kNever || msg.seq > e.lastFreshSeq) &&
+                msg.state.size() == nx) {
+                e.lastFreshSeq = msg.seq;
+                if (e.lastFreshState.size() != nx)
+                    e.lastFreshState.resize(nx);
+                e.lastFreshState.copyFrom(msg.state);
+            }
+        } else if (e.bufferedSeq == kNever || msg.seq > e.bufferedSeq) {
+            // Newest plan wins; stale and duplicate deliveries are
+            // ignored. A late plan resumes `lateness` stages into its
+            // tail: those stages' periods already elapsed in flight.
+            buffers_[i].accept(msg.plan);
+            buffers_[i].skip(static_cast<std::size_t>(period_ - msg.seq));
+            e.bufferedSeq = msg.seq;
         }
-
-        // Newest state wins; only a correctly shaped measurement may
-        // become the fresh-state baseline (a malformed one is still
-        // served — and rejected — when it is this period's).
-        if ((e.lastFreshSeq == kNever || msg.seq > e.lastFreshSeq) &&
-            msg.state.size() == nx) {
-            e.lastFreshSeq = msg.seq;
-            if (e.lastFreshState.size() != nx)
-                e.lastFreshState.resize(nx);
-            e.lastFreshState.copyFrom(msg.state);
-        }
+        spare_.push_back(std::move(msg));
     }
+    due_.clear();
 }
 
 void
@@ -204,7 +197,6 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
     Vector &served = served_[i];
     const auto nx = static_cast<std::size_t>(model_->nx());
     const auto nref = static_cast<std::size_t>(model_->nref());
-    const auto nu = static_cast<std::size_t>(model_->nu());
 
     if (down_[i]) {
         service_[i] = Service::Down;
@@ -258,11 +250,10 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
         if (roll_ref_.size() != nref)
             roll_ref_.resize(nref);
         roll_ref_.copyFrom(refs[i]);
-        Vector u(nu);
         for (std::uint64_t k = 0; k < age; ++k) {
             const std::uint64_t t = e.lastFreshSeq + k;
             if (e.lastPlan.empty() || e.lastPlanSeq == kNever) {
-                boxProjectedZero(*model_, u);
+                boxProjectedZero(*model_, roll_u_);
             } else {
                 const std::size_t stage =
                     t <= e.lastPlanSeq
@@ -270,9 +261,11 @@ FleetLink::classify(std::size_t i, const std::vector<Vector> &measured,
                         : std::min<std::size_t>(
                               static_cast<std::size_t>(t - e.lastPlanSeq),
                               e.lastPlan.size() - 1);
-                u.copyFrom(e.lastPlan[stage]);
+                if (roll_u_.size() != e.lastPlan[stage].size())
+                    roll_u_.resize(e.lastPlan[stage].size());
+                roll_u_.copyFrom(e.lastPlan[stage]);
             }
-            roll_x_ = plant_.step(roll_x_, u, roll_ref_, options_.dt);
+            plant_.stepInPlace(roll_x_, roll_u_, roll_ref_, options_.dt);
         }
         service_[i] = Service::Extrapolated;
         extrapolated_[i] = 1;
@@ -306,10 +299,11 @@ FleetLink::beginPeriod(std::uint64_t period,
     static const Vector kEmpty;
     for (std::size_t i = 0; i < n; ++i) {
         endpoints_[i].planSentThisPeriod = false;
-        transmitUplink(i, i < measured.size() ? measured[i] : kEmpty);
+        transmit(LinkDirection::Uplink, i, period_,
+                 i < measured.size() ? measured[i] : kEmpty);
     }
     for (std::size_t i = 0; i < n; ++i)
-        drainUplinks(i);
+        drain(LinkDirection::Uplink, i);
 
     // Heartbeat: any delivered uplink proves the link is alive; its
     // absence for kLinkDownPeriods declares the link down.
@@ -351,54 +345,7 @@ FleetLink::sendPlan(std::size_t i, const std::vector<Vector> &inputs)
     // Arm the retransmit schedule for this plan.
     e.retryInterval = kRetransmitBackoffBase;
     e.nextRetry = period_ + e.retryInterval;
-    transmitDownlink(i, period_, e.lastPlan);
-}
-
-void
-FleetLink::drainDownlinks(std::size_t i)
-{
-    Endpoint &e = endpoints_[i];
-    std::vector<DownlinkMsg> due;
-    std::size_t keep = 0;
-    for (std::size_t k = 0; k < e.downlinkQueue.size(); ++k) {
-        if (e.downlinkQueue[k].deliverAt <= period_) {
-            due.push_back(std::move(e.downlinkQueue[k]));
-        } else {
-            if (keep != k) // Self-move would clear the payload.
-                e.downlinkQueue[keep] = std::move(e.downlinkQueue[k]);
-            ++keep;
-        }
-    }
-    e.downlinkQueue.resize(keep);
-    std::stable_sort(due.begin(), due.end(),
-                     [](const DownlinkMsg &a, const DownlinkMsg &b) {
-                         if (a.deliverAt != b.deliverAt)
-                             return a.deliverAt < b.deliverAt;
-                         if (a.seq != b.seq)
-                             return a.seq < b.seq;
-                         return !a.duplicate && b.duplicate;
-                     });
-
-    for (const DownlinkMsg &msg : due) {
-        ++totals_.downlinkDelivered;
-        e.latency.sample(static_cast<double>(period_ - msg.sent));
-        if (e.maxDownSeqDelivered != kNever &&
-            msg.seq < e.maxDownSeqDelivered)
-            ++totals_.downlinkReordered;
-        if (e.maxDownSeqDelivered == kNever ||
-            msg.seq > e.maxDownSeqDelivered)
-            e.maxDownSeqDelivered = msg.seq;
-
-        // Newest plan wins; stale and duplicate deliveries are
-        // ignored. A late plan resumes `lateness` stages into its
-        // tail: those stages' periods already elapsed in flight.
-        if (e.bufferedSeq == kNever || msg.seq > e.bufferedSeq) {
-            buffers_[i].accept(msg.plan);
-            buffers_[i].skip(
-                static_cast<std::size_t>(period_ - msg.seq));
-            e.bufferedSeq = msg.seq;
-        }
-    }
+    transmit(LinkDirection::Downlink, i, period_);
 }
 
 void
@@ -417,14 +364,14 @@ FleetLink::finishPeriod()
         if (period_ < e.nextRetry)
             continue;
         ++totals_.retransmits;
-        transmitDownlink(i, e.lastPlanSeq, e.lastPlan);
+        transmit(LinkDirection::Downlink, i, e.lastPlanSeq);
         e.retryInterval =
             std::min(kRetransmitBackoffCap, e.retryInterval * 2);
         e.nextRetry = period_ + e.retryInterval;
     }
 
     for (std::size_t i = 0; i < n; ++i)
-        drainDownlinks(i);
+        drain(LinkDirection::Downlink, i);
 
     // Execution: a robot whose plan for *this* period arrived on time
     // executes its stage-0 input (the solver's u0, bitwise); everyone
@@ -452,18 +399,19 @@ FleetLink::stalenessPeriods(std::size_t i) const
                                     : period_ - e.lastFreshSeq;
 }
 
-LinkReport
-FleetLink::report() const
+void
+FleetLink::report(LinkReport &out) const
 {
-    LinkReport report = totals_;
-    // Deterministic fold of the per-robot distributions: merge() is
+    // Copy-assigning over a report of the same shape reuses its
+    // histogram storage (totals_ keeps its histograms empty). Then a
+    // deterministic fold of the per-robot distributions: merge() is
     // order-independent, and robot-index order makes the pass itself
     // canonical.
+    out = totals_;
     for (const Endpoint &e : endpoints_) {
-        report.deliveryLatency.merge(e.latency);
-        report.staleness.merge(e.staleness);
+        out.deliveryLatency.merge(e.latency);
+        out.staleness.merge(e.staleness);
     }
-    return report;
 }
 
 void
@@ -471,8 +419,8 @@ FleetLink::reset()
 {
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
         Endpoint &e = endpoints_[i];
-        e.uplinkQueue.clear();
-        e.downlinkQueue.clear();
+        e.inFlight[0].clear();
+        e.inFlight[1].clear();
         e.lastFreshSeq = kNever;
         e.lastAnyDelivery = kNever;
         e.maxUpSeqDelivered = kNever;
@@ -498,18 +446,22 @@ FleetLink::reset()
 namespace
 {
 
+template <class Io, class Channel>
+bool
+transferChannel(Io &io, Channel &c)
+{
+    return field(io, c.sent) && field(io, c.dropped) &&
+           field(io, c.delivered) && field(io, c.duplicates) &&
+           field(io, c.reordered);
+}
+
 /** LinkReport's checkpointed state, listed once. */
 template <class Io, class Report>
 bool
 transferLinkReport(Io &io, Report &rp)
 {
-    return field(io, rp.uplinkSent) && field(io, rp.uplinkDropped) &&
-           field(io, rp.uplinkDelivered) && field(io, rp.uplinkDuplicates) &&
-           field(io, rp.uplinkReordered) && field(io, rp.downlinkSent) &&
-           field(io, rp.downlinkDropped) &&
-           field(io, rp.downlinkDelivered) &&
-           field(io, rp.downlinkDuplicates) &&
-           field(io, rp.downlinkReordered) && field(io, rp.retransmits) &&
+    return transferChannel(io, rp.uplink) &&
+           transferChannel(io, rp.downlink) && field(io, rp.retransmits) &&
            field(io, rp.acksDelivered) && field(io, rp.planMisses) &&
            field(io, rp.statesExtrapolated) &&
            field(io, rp.staleDemotions) && field(io, rp.linkDownEvents) &&
@@ -556,8 +508,8 @@ FleetLink::transfer(Io &io, Self &self)
         return false;
     for (std::size_t i = 0; i < self.endpoints_.size(); ++i) {
         auto &e = self.endpoints_[i];
-        if (!support::listField(io, e.uplinkQueue, uplink) ||
-            !support::listField(io, e.downlinkQueue, downlink) ||
+        if (!support::listField(io, e.inFlight[0], uplink) ||
+            !support::listField(io, e.inFlight[1], downlink) ||
             !field(io, e.lastFreshSeq) ||
             !sizedField(io, e.lastFreshState, nx, true) ||
             !field(io, e.lastAnyDelivery) ||

@@ -70,6 +70,16 @@
 namespace robox::mpc
 {
 
+/** Traffic counters of one link direction. */
+struct LinkChannelReport
+{
+    std::uint64_t sent = 0;       //!< Transmissions (incl. dups).
+    std::uint64_t dropped = 0;    //!< Transmissions lost.
+    std::uint64_t delivered = 0;  //!< Messages delivered.
+    std::uint64_t duplicates = 0; //!< Duplicate copies enqueued.
+    std::uint64_t reordered = 0;  //!< Deliveries behind a newer seq.
+};
+
 /**
  * Link-health counters and virtual-time distributions. Everything here
  * is derived from virtual time (periods) and pure chaos decisions, so
@@ -78,19 +88,8 @@ namespace robox::mpc
  */
 struct LinkReport
 {
-    // Uplink channel (robot -> controller).
-    std::uint64_t uplinkSent = 0;       //!< Transmissions (incl. dups).
-    std::uint64_t uplinkDropped = 0;    //!< Transmissions lost.
-    std::uint64_t uplinkDelivered = 0;  //!< Messages delivered.
-    std::uint64_t uplinkDuplicates = 0; //!< Duplicate copies enqueued.
-    std::uint64_t uplinkReordered = 0;  //!< Deliveries behind a newer seq.
-
-    // Downlink channel (controller -> robot).
-    std::uint64_t downlinkSent = 0;
-    std::uint64_t downlinkDropped = 0;
-    std::uint64_t downlinkDelivered = 0;
-    std::uint64_t downlinkDuplicates = 0;
-    std::uint64_t downlinkReordered = 0;
+    LinkChannelReport uplink;   //!< Robot -> controller.
+    LinkChannelReport downlink; //!< Controller -> robot.
 
     /** Plan retransmissions triggered by the ack/backoff schedule. */
     std::uint64_t retransmits = 0;
@@ -254,10 +253,11 @@ class FleetLink
 
     std::size_t numRobots() const { return buffers_.size(); }
 
-    /** Lifetime link-health snapshot. The per-robot latency/staleness
-     *  histograms are combined with Histogram::merge in robot-index
-     *  order, so the snapshot is deterministic and order-independent. */
-    LinkReport report() const;
+    /** Write the lifetime link-health snapshot into `out`, reusing
+     *  its storage. The per-robot latency/staleness histograms are
+     *  combined with Histogram::merge in robot-index order, so the
+     *  snapshot is deterministic and order-independent. */
+    void report(LinkReport &out) const;
 
     /** Forget all protocol state (queues, buffers, seqs, backoff,
      *  link-down flags). Lifetime counters keep accumulating, matching
@@ -286,32 +286,26 @@ class FleetLink
     /** Sentinel for "no sequence number seen yet". */
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-    struct UplinkMsg
+    /** One message in flight, in either direction. */
+    struct Message
     {
-        std::uint64_t seq = 0;       //!< Measurement period.
+        /** The period the carried state was measured for (a plan's
+         *  seq is that of the state it was solved on). */
+        std::uint64_t seq = 0;
         std::uint64_t sent = 0;      //!< Transmission period.
         std::uint64_t deliverAt = 0; //!< Delivery period.
-        std::uint64_t ackSeq = kNever; //!< Robot's newest plan seq.
+        std::uint64_t ackSeq = kNever; //!< Uplink: robot's newest plan.
         bool duplicate = false;
-        Vector state;
-    };
-
-    struct DownlinkMsg
-    {
-        std::uint64_t seq = 0; //!< Period the plan's state was measured.
-        std::uint64_t sent = 0;
-        std::uint64_t deliverAt = 0;
-        bool duplicate = false;
-        std::vector<Vector> plan;
+        Vector state;              //!< Uplink payload.
+        std::vector<Vector> plan;  //!< Downlink payload.
     };
 
     /** Per-robot protocol state (controller and robot halves; both
      *  live here because the whole fabric is coordinator-driven). */
     struct Endpoint
     {
-        // Channel queues (messages in flight).
-        std::vector<UplinkMsg> uplinkQueue;
-        std::vector<DownlinkMsg> downlinkQueue;
+        /** Messages in flight, indexed by LinkDirection. */
+        std::vector<Message> inFlight[2];
 
         // Controller side.
         std::uint64_t lastFreshSeq = kNever; //!< Newest delivered state.
@@ -338,16 +332,15 @@ class FleetLink
                                    0.0, 16.0, 16};
     };
 
-    /** Transmit one uplink (and a possible duplicate) through the
-     *  chaos channel. */
-    void transmitUplink(std::size_t i, const Vector &state);
-    /** Transmit one downlink plan (fresh or retransmit). */
-    void transmitDownlink(std::size_t i, std::uint64_t seq,
-                          const std::vector<Vector> &plan);
-    /** Drain robot i's uplink deliveries for the current period. */
-    void drainUplinks(std::size_t i);
-    /** Drain robot i's downlink deliveries into its plan buffer. */
-    void drainDownlinks(std::size_t i);
+    /** Transmit one message of robot i's link (and a possible
+     *  duplicate copy) through the chaos channel: an uplink carries
+     *  `state`, a downlink robot i's last computed plan. */
+    void transmit(LinkDirection dir, std::size_t i, std::uint64_t seq,
+                  const Vector &state = Vector());
+    /** Deliver robot i's messages due this period in one direction:
+     *  states and acks to the controller, plans into the robot-side
+     *  buffer. */
+    void drain(LinkDirection dir, std::size_t i);
     /** Classify robot i's service and build its served state. */
     void classify(std::size_t i, const std::vector<Vector> &measured,
                   const std::vector<Vector> &refs);
@@ -372,7 +365,11 @@ class FleetLink
     std::vector<std::uint8_t> came_up_;
 
     LinkReport totals_; //!< Counters (histograms live per endpoint).
-    Vector roll_x_, roll_ref_; //!< Extrapolation scratch.
+    Vector roll_x_, roll_u_, roll_ref_; //!< Extrapolation scratch.
+    /** Delivered messages whose payload storage the next transmit
+     *  reuses, so a warm link copies into buffers it already owns. */
+    std::vector<Message> spare_;
+    std::vector<Message> due_; //!< drain() scratch, kept between calls.
 };
 
 const char *toString(FleetLink::Service service);

@@ -63,16 +63,6 @@ struct MpcOptions
     double tolerance = 1e-6;
 
     /**
-     * Per-solve wall-clock budget in seconds (anytime MPC). When
-     * non-negative, solve() checks the deadline before each iteration
-     * and, on expiry, returns the best strictly feasible iterate so
-     * far flagged SolveStatus::DeadlineMiss. Zero means "already
-     * expired": the warm-shifted previous plan is returned without
-     * iterating. Negative (the default) disables the deadline.
-     */
-    double solveDeadlineSeconds = -1.0;
-
-    /**
      * Wall-clock budget for one BatchController::solveAll() call
      * (seconds). When non-negative, the batch admission pass projects
      * the batch cost from a per-robot EWMA solve-cost model and, when

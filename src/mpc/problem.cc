@@ -171,37 +171,29 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
     std::vector<sym::Expr> term_rows;
 
     auto add_bound_rows = [&](const sym::Expr &var, double lo, double hi,
-                              const std::string &name,
-                              std::vector<sym::Expr> &rows,
-                              std::vector<std::string> &names) {
-        if (lo != -dsl::kUnbounded) {
+                              std::vector<sym::Expr> &rows) {
+        if (lo != -dsl::kUnbounded)
             rows.push_back(sym::Expr(lo) - var);
-            names.push_back(name + " >= " + std::to_string(lo));
-        }
-        if (hi != dsl::kUnbounded) {
+        if (hi != dsl::kUnbounded)
             rows.push_back(var - sym::Expr(hi));
-            names.push_back(name + " <= " + std::to_string(hi));
-        }
     };
 
     for (int i = 0; i < nu_; ++i) {
         sym::Expr u = sym::Expr::variable(nx_ + i, model_.inputNames[i]);
         add_bound_rows(u, model_.inputLower[i], model_.inputUpper[i],
-                       model_.inputNames[i], run_rows, run_ineq_names_);
+                       run_rows);
     }
     for (int i = 0; i < nx_; ++i) {
         sym::Expr x = sym::Expr::variable(i, model_.stateNames[i]);
         add_bound_rows(x, model_.stateLower[i], model_.stateUpper[i],
-                       model_.stateNames[i], run_rows, run_ineq_names_);
+                       run_rows);
         add_bound_rows(x, model_.stateLower[i], model_.stateUpper[i],
-                       model_.stateNames[i], term_rows, term_ineq_names_);
+                       term_rows);
     }
 
     for (const dsl::ConstraintTerm &c : model_.constraints) {
         std::vector<sym::Expr> *rows =
             c.terminal ? &term_rows : &run_rows;
-        std::vector<std::string> *names =
-            c.terminal ? &term_ineq_names_ : &run_ineq_names_;
         if (c.terminal && referencesRange(c.expr, nx_, nx_ + nu_)) {
             fatal("terminal constraint '{}' may not reference control "
                   "inputs", c.name);
@@ -211,18 +203,12 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
             // slack-based interior point method keeps strict interiors.
             const double eps = kEqualityRelaxation;
             rows->push_back(c.expr - sym::Expr(c.equalsValue + eps));
-            names->push_back(c.name + " == upper");
             rows->push_back(sym::Expr(c.equalsValue - eps) - c.expr);
-            names->push_back(c.name + " == lower");
         } else {
-            if (c.lower != -dsl::kUnbounded) {
+            if (c.lower != -dsl::kUnbounded)
                 rows->push_back(sym::Expr(c.lower) - c.expr);
-                names->push_back(c.name + " lower");
-            }
-            if (c.upper != dsl::kUnbounded) {
+            if (c.upper != dsl::kUnbounded)
                 rows->push_back(c.expr - sym::Expr(c.upper));
-                names->push_back(c.name + " upper");
-            }
         }
     }
 
@@ -470,15 +456,6 @@ MpcProblem::evalTerminalIneq(const Vector &x, const Vector &ref,
 double
 MpcProblem::objective(const std::vector<Vector> &xs,
                       const std::vector<Vector> &us,
-                      const Vector &ref) const
-{
-    std::vector<Vector> refs(xs.size(), ref);
-    return objective(xs, us, refs);
-}
-
-double
-MpcProblem::objective(const std::vector<Vector> &xs,
-                      const std::vector<Vector> &us,
                       const std::vector<Vector> &refs) const
 {
     robox_assert_dbg(xs.size() == us.size() + 1);
@@ -497,15 +474,6 @@ MpcProblem::objective(const std::vector<Vector> &xs,
     return total;
 }
 
-Vector
-MpcProblem::runningIneqValue(const Vector &x, const Vector &u,
-                             const Vector &ref) const
-{
-    Vector h;
-    runningIneqValueInto(x, u, ref, h);
-    return h;
-}
-
 void
 MpcProblem::runningIneqValueInto(const Vector &x, const Vector &u,
                                  const Vector &ref, Vector &out) const
@@ -518,14 +486,6 @@ MpcProblem::runningIneqValueInto(const Vector &x, const Vector &u,
         out[i] = vals[i];
 }
 
-Vector
-MpcProblem::terminalIneqValue(const Vector &x, const Vector &ref) const
-{
-    Vector h;
-    terminalIneqValueInto(x, ref, h);
-    return h;
-}
-
 void
 MpcProblem::terminalIneqValueInto(const Vector &x, const Vector &ref,
                                   Vector &out) const
@@ -536,15 +496,6 @@ MpcProblem::terminalIneqValueInto(const Vector &x, const Vector &ref,
         out.resize(static_cast<std::size_t>(num_term_ineq_));
     for (int i = 0; i < num_term_ineq_; ++i)
         out[i] = vals[i];
-}
-
-Vector
-MpcProblem::dynamicsValue(const Vector &x, const Vector &u,
-                          const Vector &ref) const
-{
-    Vector f;
-    dynamicsValueInto(x, u, ref, f);
-    return f;
 }
 
 void

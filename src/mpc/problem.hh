@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "dsl/model_spec.hh"
@@ -58,13 +57,21 @@ class MpcProblem
     const MpcOptions &options() const { return options_; }
     const dsl::ModelSpec &model() const { return model_; }
 
-    /** Adjust the per-solve wall-clock budget at runtime (anytime
-     *  MPC: the budget is typically whatever slack remains in the
-     *  current control period). Negative disables the deadline. */
+    /**
+     * Set the per-solve wall-clock budget in seconds (anytime MPC: the
+     * budget is typically whatever slack remains in the current
+     * control period). When non-negative, solve() checks the deadline
+     * before each iteration and, on expiry, returns the best strictly
+     * feasible iterate so far flagged SolveStatus::DeadlineMiss. Zero
+     * means "already expired": the warm-shifted previous plan is
+     * returned without iterating. Negative, as constructed, disables
+     * the deadline.
+     */
     void setSolveDeadline(double seconds)
     {
-        options_.solveDeadlineSeconds = seconds;
+        solve_deadline_seconds_ = seconds;
     }
+    double solveDeadline() const { return solve_deadline_seconds_; }
 
     /** Adjust the per-solve iteration cap at runtime. The batch
      *  admission pass uses this as the deterministic half of budget
@@ -112,28 +119,16 @@ class MpcProblem
     void evalTerminalIneq(const Vector &x, const Vector &ref,
                           StageEval &out) const;
 
-    /** Value-only objective of a trajectory (for line-search merit). */
-    double objective(const std::vector<Vector> &xs,
-                     const std::vector<Vector> &us,
-                     const Vector &ref) const;
-
-    /** Objective under per-stage references (refs.size() == N + 1). */
+    /** Value-only objective of a trajectory under per-stage references
+     *  (refs.size() == N + 1), for the line-search merit. */
     double objective(const std::vector<Vector> &xs,
                      const std::vector<Vector> &us,
                      const std::vector<Vector> &refs) const;
 
-    /** Value-only constraint evaluation (for line search). */
-    Vector runningIneqValue(const Vector &x, const Vector &u,
-                            const Vector &ref) const;
-    Vector terminalIneqValue(const Vector &x, const Vector &ref) const;
-    Vector dynamicsValue(const Vector &x, const Vector &u,
-                         const Vector &ref) const;
-
     /**
-     * Allocation-free variants of the value-only evaluators: the
-     * output is resized on first use and reused afterwards. These are
-     * what the solver's warm hot path (merit evaluations, trajectory
-     * rollouts) calls every iteration.
+     * Value-only evaluators for the solver's warm hot path (merit
+     * evaluations, trajectory rollouts): the output is resized on first
+     * use and reused afterwards, so they are allocation-free.
      */
     void runningIneqValueInto(const Vector &x, const Vector &u,
                               const Vector &ref, Vector &out) const;
@@ -161,16 +156,6 @@ class MpcProblem
     const std::vector<bool> &runningRowUsesInput() const
     {
         return run_row_uses_input_;
-    }
-
-    /** Human-readable labels for inequality rows (diagnostics). */
-    const std::vector<std::string> &runningIneqNames() const
-    {
-        return run_ineq_names_;
-    }
-    const std::vector<std::string> &terminalIneqNames() const
-    {
-        return term_ineq_names_;
     }
 
     /**
@@ -237,6 +222,7 @@ class MpcProblem
 
     dsl::ModelSpec model_;
     MpcOptions options_;
+    double solve_deadline_seconds_ = -1.0; //!< See setSolveDeadline.
     int nx_;
     int nu_;
     int nref_;
@@ -245,10 +231,8 @@ class MpcProblem
 
     std::vector<double> running_weights_;
     std::vector<double> terminal_weights_;
-    std::vector<std::string> run_ineq_names_;
     std::vector<bool> run_row_uses_state_;
     std::vector<bool> run_row_uses_input_;
-    std::vector<std::string> term_ineq_names_;
 
     // Evaluation scratch, reused across calls (see runTape).
     mutable std::vector<double> env_;

@@ -40,8 +40,16 @@ Vector
 Plant::step(const Vector &x, const Vector &u, const Vector &ref,
             double dt, int substeps) const
 {
-    robox_assert(substeps >= 1);
     Vector state = x;
+    stepInPlace(state, u, ref, dt, substeps);
+    return state;
+}
+
+void
+Plant::stepInPlace(Vector &state, const Vector &u, const Vector &ref,
+                   double dt, int substeps) const
+{
+    robox_assert(substeps >= 1);
     double h = dt / substeps;
     for (int s = 0; s < substeps; ++s) {
         derivativeInto(state, u, ref, k1_);
@@ -55,7 +63,6 @@ Plant::step(const Vector &x, const Vector &u, const Vector &ref,
             state[i] += (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]) *
                         (h / 6.0);
     }
-    return state;
 }
 
 SimulationResult

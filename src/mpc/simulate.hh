@@ -60,6 +60,10 @@ class Plant
     Vector step(const Vector &x, const Vector &u, const Vector &ref,
                 double dt, int substeps = 8) const;
 
+    /** step() advancing x in place; allocation-free once warm. */
+    void stepInPlace(Vector &x, const Vector &u, const Vector &ref,
+                     double dt, int substeps = 8) const;
+
   private:
     void derivativeInto(const Vector &x, const Vector &u,
                         const Vector &ref, Vector &dx) const;

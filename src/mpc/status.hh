@@ -28,7 +28,7 @@ enum class SolveStatus
     /** Hit the iteration cap; the iterate is feasible but inexact. */
     MaxIterations,
     /** The wall-clock budget expired; the best iterate so far is
-     *  returned (anytime MPC; see MpcOptions::solveDeadlineSeconds). */
+     *  returned (anytime MPC; see MpcProblem::setSolveDeadline). */
     DeadlineMiss,
     /** A KKT factorization failed and the recovery ladder was
      *  exhausted; the returned plan must not be trusted. */

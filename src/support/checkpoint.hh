@@ -57,10 +57,11 @@ const char *toString(CheckpointStatus status);
 
 /** Current checkpoint format version. Version 2 dropped
  *  BatchController's timeline-enablement flag from the payload,
- *  version 3 the live-upgrade flag and state that ended it, and
+ *  version 3 the live-upgrade flag and state that ended it,
  *  version 4 three self-check counters and BackupPlan's lifetime
- *  backup count. */
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+ *  backup count, and version 5 the seven last-batch status counters
+ *  that BatchReport now counts from its per-robot statuses. */
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /** Checkpoint magic, "RBCP" little-endian. */
 inline constexpr std::uint32_t kCheckpointMagic = 0x50434252u;

@@ -13,6 +13,7 @@
 #include "dsl/parser.hh"
 #include "dsl/format.hh"
 #include "dsl/sema.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace robox::dsl
@@ -636,12 +637,7 @@ TEST(CheckedFrontend, ParseCheckedReportsWithoutThrowing)
 TEST(CheckedFrontend, SeededMutationCorpusNeverThrowsAndIsDeterministic)
 {
     // splitmix64: deterministic cross-platform mutation stream.
-    auto mix = [](std::uint64_t x) {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    };
+    auto mix = support::splitmix64;
     const std::string base = kMobileRobotSource;
     const char pool[] = "@#$?<~`\\|&!%\";={}[]().,:+-*/^ \n0aZ_";
     int parsed_ok = 0;

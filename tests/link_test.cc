@@ -4,7 +4,8 @@
  * decisions, the retransmit/ack/backoff schedule, late-delivery tail
  * resumption, staleness-bounded extrapolation, link-down shedding,
  * zero-impairment bitwise identity with the direct path, thread-count
- * bitwise replay, and closed-loop tracking under loss.
+ * bitwise replay, closed-loop tracking under loss, and allocation-free
+ * warm periods.
  */
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "mpc/chaos.hh"
 #include "mpc/link.hh"
 #include "mpc/simulate.hh"
+#include "support/alloc_hook.hh"
 
 namespace robox::mpc
 {
@@ -182,14 +184,15 @@ TEST(Link, PerfectLinkDeliversSamePeriodAndAcksNextPeriod)
     // fires for an acked plan.
     link.beginPeriod(1, states, refs);
     link.finishPeriod();
-    LinkReport report = link.report();
+    LinkReport report;
+    link.report(report);
     EXPECT_EQ(report.retransmits, 0u);
     EXPECT_EQ(report.acksDelivered, 1u);
-    EXPECT_EQ(report.uplinkDropped, 0u);
-    EXPECT_EQ(report.downlinkDropped, 0u);
+    EXPECT_EQ(report.uplink.dropped, 0u);
+    EXPECT_EQ(report.downlink.dropped, 0u);
     // All deliveries were on time.
     EXPECT_EQ(report.deliveryLatency.totalSamples(),
-              report.uplinkDelivered + report.downlinkDelivered);
+              report.uplink.delivered + report.downlink.delivered);
     EXPECT_DOUBLE_EQ(report.deliveryLatency.mean(), 0.0);
 }
 
@@ -214,10 +217,12 @@ TEST(Link, RetransmitBackoffFollowsCappedExponentialSchedule)
 
     std::vector<std::uint64_t> retry_periods;
     std::uint64_t seen = 0;
+    LinkReport report;
     for (std::uint64_t p = 1; p <= 40; ++p) {
         link.beginPeriod(p, states, refs);
         link.finishPeriod(); // No fresh plan -> retransmit eligible.
-        const std::uint64_t now = link.report().retransmits;
+        link.report(report);
+        const std::uint64_t now = report.retransmits;
         if (now > seen) {
             EXPECT_EQ(now, seen + 1);
             retry_periods.push_back(p);
@@ -294,11 +299,12 @@ TEST(Link, DuplicatesAndReordersAreCountedAndIdempotent)
             EXPECT_LE(link.stalenessPeriods(i), 2u);
         }
     }
-    LinkReport report = link.report();
-    EXPECT_EQ(report.uplinkDuplicates, 4u * 24u);
-    EXPECT_EQ(report.uplinkSent, 2u * 4u * 24u);
-    EXPECT_GT(report.uplinkReordered, 0u);
-    EXPECT_GT(report.uplinkDelivered, 0u);
+    LinkReport report;
+    link.report(report);
+    EXPECT_EQ(report.uplink.duplicates, 4u * 24u);
+    EXPECT_EQ(report.uplink.sent, 2u * 4u * 24u);
+    EXPECT_GT(report.uplink.reordered, 0u);
+    EXPECT_GT(report.uplink.delivered, 0u);
     EXPECT_GT(report.deliveryLatency.totalSamples(), 0u);
 }
 
@@ -349,7 +355,8 @@ TEST(Link, ExtrapolationCoversTheStalenessBoundThenDemotes)
         }
         link.finishPeriod();
     }
-    LinkReport report = link.report();
+    LinkReport report;
+    link.report(report);
     EXPECT_EQ(report.statesExtrapolated, 3u);
     EXPECT_EQ(report.staleDemotions, 2u);
     EXPECT_EQ(report.linkDownEvents, 1u);
@@ -403,9 +410,9 @@ TEST(LinkBatch, ZeroImpairmentIsBitwiseIdenticalToDirectPath)
     // The perfect link did real protocol work: every state delivered,
     // every plan acked, nothing dropped or retransmitted.
     const LinkReport &ln = linked.report().overload.link;
-    EXPECT_EQ(ln.uplinkSent, kRobots * kBatches);
-    EXPECT_EQ(ln.uplinkDelivered, kRobots * kBatches);
-    EXPECT_EQ(ln.downlinkDropped, 0u);
+    EXPECT_EQ(ln.uplink.sent, kRobots * kBatches);
+    EXPECT_EQ(ln.uplink.delivered, kRobots * kBatches);
+    EXPECT_EQ(ln.downlink.dropped, 0u);
     EXPECT_EQ(ln.retransmits, 0u);
     EXPECT_EQ(ln.planMisses, 0u);
     EXPECT_EQ(ln.statesExtrapolated, 0u);
@@ -442,7 +449,7 @@ TEST(LinkBatch, DeadUplinkDemotesThenShedsThroughTheLadder)
         }
     }
     const LinkReport &ln = batch.report().overload.link;
-    EXPECT_EQ(ln.uplinkDelivered, 0u);
+    EXPECT_EQ(ln.uplink.delivered, 0u);
     EXPECT_EQ(ln.linkDownEvents, kRobots);
     EXPECT_GT(ln.staleDemotions, 0u);
     EXPECT_GT(ln.linkDownRobotPeriods, 0u);
@@ -592,7 +599,7 @@ TEST(LinkBatch, ResetForgetsProtocolStateButKeepsCounters)
         batch.solveAll(states, refs);
     ASSERT_TRUE(batch.link()->isDown(0));
     const std::uint64_t dropped_before =
-        batch.report().overload.link.uplinkDropped;
+        batch.report().overload.link.uplink.dropped;
     EXPECT_GT(dropped_before, 0u);
 
     batch.resetAll();
@@ -602,8 +609,46 @@ TEST(LinkBatch, ResetForgetsProtocolStateButKeepsCounters)
     // fresh measurements; lifetime counters kept accumulating.
     EXPECT_FALSE(batch.link()->isDown(0));
     EXPECT_EQ(batch.link()->service(0), FleetLink::Service::Fresh);
-    EXPECT_GE(batch.report().overload.link.uplinkDropped,
+    EXPECT_GE(batch.report().overload.link.uplink.dropped,
               dropped_before);
+}
+
+TEST(LinkBatch, WarmPeriodsAllocateNothing)
+{
+    if (!support::allocCountingActive())
+        GTEST_SKIP() << "allocation counting hook not linked";
+
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    constexpr std::size_t kRobots = 4;
+    MpcOptions opt = linkOptions();
+    opt.flightRecorderCapacity = 8;
+    BatchController batch(model, opt, kRobots, 1);
+    ChaosSpec spec;
+    spec.uplinkDropRate = 1.0;
+    const ChaosEngine drop_uplinks(spec);
+
+    std::vector<Vector> states, refs;
+    makeFleetInputs(kRobots, states, refs);
+    // Heap allocations on this (the only) thread during one period.
+    auto period = [&](const ChaosEngine *chaos) {
+        batch.setLinkChaos(chaos);
+        const std::uint64_t before = support::allocCount();
+        batch.solveAll(states, refs);
+        return support::allocCount() - before;
+    };
+    // Warm-up: clean periods, one whose uplinks are all lost (the
+    // controller extrapolates every robot), and clean periods again.
+    for (int p = 0; p < 3; ++p)
+        period(nullptr);
+    period(&drop_uplinks);
+    for (int p = 0; p < 3; ++p)
+        period(nullptr);
+
+    EXPECT_EQ(period(nullptr), 0u);
+    EXPECT_EQ(period(&drop_uplinks), 0u);
+    for (std::size_t i = 0; i < kRobots; ++i)
+        EXPECT_TRUE(batch.link()->wasExtrapolated(i)) << i;
+    EXPECT_EQ(batch.report().lastBatchFailures(), 0u);
 }
 
 } // namespace

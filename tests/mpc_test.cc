@@ -165,12 +165,13 @@ TEST(Problem, Rk4JacobianMatchesFiniteDifference)
     prob.evalDynamics(x, u, ref, eval);
 
     double h = 1e-6;
+    Vector fp, fm;
     for (int j = 0; j < 3; ++j) {
         Vector xp = x, xm = x;
         xp[j] += h;
         xm[j] -= h;
-        Vector fp = prob.dynamicsValue(xp, u, ref);
-        Vector fm = prob.dynamicsValue(xm, u, ref);
+        prob.dynamicsValueInto(xp, u, ref, fp);
+        prob.dynamicsValueInto(xm, u, ref, fm);
         for (int i = 0; i < 3; ++i)
             EXPECT_NEAR(eval.jx(i, j), (fp[i] - fm[i]) / (2 * h), 1e-6)
                 << i << "," << j;
@@ -179,8 +180,8 @@ TEST(Problem, Rk4JacobianMatchesFiniteDifference)
         Vector up = u, um = u;
         up[j] += h;
         um[j] -= h;
-        Vector fp = prob.dynamicsValue(x, up, ref);
-        Vector fm = prob.dynamicsValue(x, um, ref);
+        prob.dynamicsValueInto(x, up, ref, fp);
+        prob.dynamicsValueInto(x, um, ref, fm);
         for (int i = 0; i < 3; ++i)
             EXPECT_NEAR(eval.ju(i, j), (fp[i] - fm[i]) / (2 * h), 1e-6);
     }

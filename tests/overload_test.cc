@@ -226,18 +226,20 @@ TEST(Overload, TwoTimesStormDegradesTailAndKeepsAdmittedBitwise)
 
     for (int round = 0; round < 4; ++round) {
         const auto &results = batch.solveAll(states, refs);
-        const OverloadReport &ov = batch.report().overload;
+        const BatchReport &report = batch.report();
+        const OverloadReport &ov = report.overload;
         if (round == 0) {
             // Cold cost model: everyone admitted, model seeded.
-            EXPECT_EQ(ov.lastBatchDegraded, 0u);
+            EXPECT_EQ(report.lastBatch(SolveStatus::DegradedBudget), 0u);
         } else {
             // Warm model, 2x load: with equal costs and priorities the
             // full-budget prefix is robots 0..1 (greedy under the
             // floor-scale invariant), the rest degrade at one common
             // scale, and nothing reaches the backup/shed rungs.
-            EXPECT_EQ(ov.lastBatchDegraded, kRobots - 2);
-            EXPECT_EQ(ov.lastBatchServedFromBackup, 0u);
-            EXPECT_EQ(ov.lastBatchShed, 0u);
+            EXPECT_EQ(report.lastBatch(SolveStatus::DegradedBudget),
+                      kRobots - 2);
+            EXPECT_EQ(report.lastBatch(SolveStatus::ServedFromBackup), 0u);
+            EXPECT_EQ(report.lastBatch(SolveStatus::Shed), 0u);
             // Admitted work fits the batch budget (virtual time).
             EXPECT_LE(ov.admittedSeconds,
                       opt.batchDeadlineSeconds * (1.0 + 1e-9));
@@ -490,7 +492,7 @@ TEST(Overload, MalformedInputsGetBadInputInsteadOfCrashing)
     EXPECT_EQ(results[1].status, SolveStatus::BadInput);
     EXPECT_EQ(results[2].status, SolveStatus::BadInput);
     EXPECT_EQ(results[3].status, SolveStatus::BadInput);
-    EXPECT_EQ(batch.report().overload.lastBatchBadInput, 3u);
+    EXPECT_EQ(batch.report().lastBatch(SolveStatus::BadInput), 3u);
     for (std::size_t i = 1; i < 4; ++i) {
         EXPECT_TRUE(results[i].degraded);
         ASSERT_EQ(results[i].u0.size(), 1u);
@@ -545,6 +547,65 @@ TEST(Overload, ExceptionsAreQuarantinedAndReportedDeterministically)
     EXPECT_EQ(batch.report().exceptions, 3u);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_TRUE(statusUsable(batch.report().statuses[i])) << i;
+}
+
+TEST(Overload, QuarantinedRobotCountsAsUnsolved)
+{
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    constexpr std::size_t kRobots = 4;
+    constexpr std::size_t kThrower = 3;
+    BatchController batch(model, smallOptions(16), kRobots, 1);
+    batch.enableTimeline(true);
+    std::vector<std::size_t> costed;
+    batch.setCostHook([&](std::size_t i, double measured) {
+        costed.push_back(i);
+        return measured;
+    });
+
+    std::vector<Vector> states, refs;
+    makeFleetInputs(kRobots, states, refs);
+    const auto &results = batch.solveAll(states, refs);
+    ASSERT_GT(results[kThrower].iterations, 0);
+    const BatchReport before = batch.report();
+
+    // Batch 1: robot 3 throws before its solver runs, so its solver's
+    // lastStats() still describe batch 0.
+    batch.setStallHook([](std::size_t i) {
+        if (i == kThrower)
+            throw std::runtime_error("injected worker fault");
+    });
+    for (std::size_t i = 0; i < kRobots; ++i)
+        states[i][0] += 0.05;
+    costed.clear();
+    batch.solveAll(states, refs);
+
+    const BatchReport &report = batch.report();
+    std::uint64_t iterations = 0, flops = 0;
+    for (std::size_t i = 0; i < kThrower; ++i) {
+        iterations += static_cast<std::uint64_t>(results[i].iterations);
+        flops += batch.solver(i).lastStats().riccatiFlops;
+    }
+    EXPECT_EQ(report.totalIterations - before.totalIterations, iterations);
+    EXPECT_EQ(report.totalKktFlops - before.totalKktFlops, flops);
+    EXPECT_EQ(report.unconverged, before.unconverged);
+
+    // The quarantined result carries nothing from batch 0.
+    EXPECT_EQ(results[kThrower].status, SolveStatus::NumericFailure);
+    EXPECT_EQ(results[kThrower].iterations, 0);
+    EXPECT_EQ(results[kThrower].objective, 0.0);
+    EXPECT_TRUE(results[kThrower].degraded);
+
+    // Only the robots that solved feed the cost model.
+    EXPECT_EQ(costed, (std::vector<std::size_t>{0, 1, 2}));
+
+    // The timeline shows a backup serve, not a solve span.
+    for (const auto &span : batch.timeline().spans())
+        EXPECT_FALSE(span.batch == 1 && span.robot == kThrower);
+    bool marked = false;
+    for (const auto &m : batch.timeline().markers())
+        marked |= m.batch == 1 && m.robot == kThrower &&
+                  m.kind == TimelineMarker::ServedFromBackup;
+    EXPECT_TRUE(marked);
 }
 
 TEST(Overload, ReportLifetimeCountersAccumulateAcrossResetAll)
@@ -640,7 +701,7 @@ TEST(Timeline, RecordsSpansMarkersAndRungChanges)
     }
     // The robots demoted in batch 1 each get one rung-change marker.
     const std::uint64_t degraded =
-        batch.report().overload.lastBatchDegraded;
+        batch.report().lastBatch(SolveStatus::DegradedBudget);
     EXPECT_GT(degraded, 0u);
     EXPECT_EQ(tl.markers().size(), degraded);
     for (const auto &m : tl.markers()) {

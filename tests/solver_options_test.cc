@@ -176,7 +176,8 @@ TEST(Integrator, Rk4TracksPlantBetterThanEulerAtLargeDt)
         opt.dt = dt;
         opt.integrator = integrator;
         MpcProblem prob(model, opt);
-        Vector predicted = prob.dynamicsValue(x, u, ref);
+        Vector predicted;
+        prob.dynamicsValueInto(x, u, ref, predicted);
         double err = 0.0;
         for (std::size_t i = 0; i < truth.size(); ++i)
             err = std::max(err, std::abs(predicted[i] - truth[i]));

@@ -73,8 +73,9 @@ BM_Cholesky(benchmark::State &state)
 {
     std::size_t n = static_cast<std::size_t>(state.range(0));
     Matrix a = randomSpd(n, 42);
+    Matrix l;
     for (auto _ : state) {
-        Matrix l = cholesky(a);
+        choleskyInto(a, l);
         benchmark::DoNotOptimize(l.data());
     }
 }
@@ -110,8 +111,12 @@ BM_DenseKktVsRiccati_Dense(benchmark::State &state)
     Vector rhs(nz);
     for (std::size_t i = 0; i < nz; ++i)
         rhs[i] = 0.5;
+    Matrix work(nz, nz);
+    Vector x(nz);
     for (auto _ : state) {
-        Vector x = gaussianSolve(kkt, rhs);
+        work.copyFrom(kkt);
+        x.copyFrom(rhs);
+        gaussianSolveStatusInPlace(work, x);
         benchmark::DoNotOptimize(x.data());
     }
 }

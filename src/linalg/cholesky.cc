@@ -21,7 +21,7 @@ namespace
  * diagonal reads so no shifted copy of a is materialized.
  */
 bool
-tryCholeskyShifted(const Matrix &a, double shift, Matrix &l)
+tryCholesky(const Matrix &a, double shift, Matrix &l)
 {
     std::size_t n = a.rows();
     if (l.rows() != n || l.cols() != n)
@@ -46,12 +46,6 @@ tryCholeskyShifted(const Matrix &a, double shift, Matrix &l)
     return true;
 }
 
-bool
-tryCholesky(const Matrix &a, Matrix &l)
-{
-    return tryCholeskyShifted(a, 0.0, l);
-}
-
 /** True when any entry of the (symmetric) input is NaN/Inf. */
 bool
 hasNonFinite(const Matrix &a)
@@ -62,6 +56,35 @@ hasNonFinite(const Matrix &a)
         if (!std::isfinite(p[i]))
             return true;
     return false;
+}
+
+/** Forward substitution L y = b in place over the entries b[0],
+ *  b[stride], ...: a vector (stride 1) or one column of a row-major
+ *  matrix (stride = its column count). */
+void
+forwardStrided(const Matrix &l, double *b, std::size_t stride)
+{
+    const std::size_t n = l.rows();
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = b[i * stride];
+        for (std::size_t k = 0; k < i; ++k)
+            acc -= l(i, k) * b[k * stride];
+        b[i * stride] = acc / l(i, i);
+    }
+}
+
+/** Backward substitution L^T x = y in place, strided like
+ *  forwardStrided. */
+void
+backwardStrided(const Matrix &l, double *y, std::size_t stride)
+{
+    const std::size_t n = l.rows();
+    for (std::size_t ii = n; ii-- > 0;) {
+        double acc = y[ii * stride];
+        for (std::size_t k = ii + 1; k < n; ++k)
+            acc -= l(k, ii) * y[k * stride];
+        y[ii * stride] = acc / l(ii, ii);
+    }
 }
 
 } // namespace
@@ -79,42 +102,21 @@ toString(FactorStatus status)
     return "unknown";
 }
 
-Matrix
-cholesky(const Matrix &a)
-{
-    robox_assert(a.rows() == a.cols());
-    Matrix l;
-    if (!tryCholesky(a, l))
-        fatal("cholesky: matrix of order {} is not positive definite",
-              a.rows());
-    return l;
-}
-
 FactorStatus
 choleskyInto(const Matrix &a, Matrix &l)
 {
     robox_assert_dbg(a.rows() == a.cols());
-    if (tryCholesky(a, l))
+    if (tryCholesky(a, 0.0, l))
         return FactorStatus::Ok;
     return hasNonFinite(a) ? FactorStatus::NonFinite
                            : FactorStatus::NotPositiveDefinite;
-}
-
-Matrix
-choleskyRegularized(const Matrix &a, double &reg)
-{
-    Matrix l;
-    if (choleskyRegularizedInto(a, reg, l) != FactorStatus::Ok)
-        fatal("choleskyRegularized: could not factor matrix of order {}",
-              a.rows());
-    return l;
 }
 
 FactorStatus
 choleskyRegularizedInto(const Matrix &a, double &reg, Matrix &l)
 {
     robox_assert_dbg(a.rows() == a.cols());
-    if (tryCholesky(a, l)) {
+    if (tryCholesky(a, 0.0, l)) {
         reg = 0.0;
         return FactorStatus::Ok;
     }
@@ -125,7 +127,7 @@ choleskyRegularizedInto(const Matrix &a, double &reg, Matrix &l)
     // aborting mid-solve.
     double shift = reg > 0.0 ? reg : 1e-10;
     for (int attempt = 0; attempt < 40; ++attempt) {
-        if (tryCholeskyShifted(a, shift, l)) {
+        if (tryCholesky(a, shift, l)) {
             reg = shift;
             return FactorStatus::Ok;
         }
@@ -135,66 +137,18 @@ choleskyRegularizedInto(const Matrix &a, double &reg, Matrix &l)
                            : FactorStatus::NotPositiveDefinite;
 }
 
-Vector
-forwardSubstitute(const Matrix &l, const Vector &b)
-{
-    std::size_t n = l.rows();
-    robox_assert(l.cols() == n && b.size() == n);
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (std::size_t k = 0; k < i; ++k)
-            acc -= l(i, k) * y[k];
-        y[i] = acc / l(i, i);
-    }
-    return y;
-}
-
-Vector
-backwardSubstitute(const Matrix &l, const Vector &y)
-{
-    std::size_t n = l.rows();
-    robox_assert(l.cols() == n && y.size() == n);
-    Vector x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t k = ii + 1; k < n; ++k)
-            acc -= l(k, ii) * x[k];
-        x[ii] = acc / l(ii, ii);
-    }
-    return x;
-}
-
 void
 forwardSubstituteInPlace(const Matrix &l, Vector &b)
 {
-    std::size_t n = l.rows();
-    robox_assert_dbg(l.cols() == n && b.size() == n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (std::size_t k = 0; k < i; ++k)
-            acc -= l(i, k) * b[k];
-        b[i] = acc / l(i, i);
-    }
+    robox_assert_dbg(l.cols() == l.rows() && b.size() == l.rows());
+    forwardStrided(l, b.data(), 1);
 }
 
 void
 backwardSubstituteInPlace(const Matrix &l, Vector &y)
 {
-    std::size_t n = l.rows();
-    robox_assert_dbg(l.cols() == n && y.size() == n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t k = ii + 1; k < n; ++k)
-            acc -= l(k, ii) * y[k];
-        y[ii] = acc / l(ii, ii);
-    }
-}
-
-Vector
-choleskySolve(const Matrix &l, const Vector &b)
-{
-    return backwardSubstitute(l, forwardSubstitute(l, b));
+    robox_assert_dbg(l.cols() == l.rows() && y.size() == l.rows());
+    backwardStrided(l, y.data(), 1);
 }
 
 void
@@ -204,51 +158,15 @@ choleskySolveInPlace(const Matrix &l, Vector &b)
     backwardSubstituteInPlace(l, b);
 }
 
-Matrix
-choleskySolveMatrix(const Matrix &l, const Matrix &b)
-{
-    Matrix x = b;
-    choleskySolveMatrixInPlace(l, x);
-    return x;
-}
-
 void
 choleskySolveMatrixInPlace(const Matrix &l, Matrix &b)
 {
-    std::size_t n = l.rows();
-    robox_assert_dbg(b.rows() == n);
-    // Column-wise forward then backward substitution, operating
-    // directly on b's storage.
+    robox_assert_dbg(l.cols() == l.rows() && b.rows() == l.rows());
+    // Column by column, directly on b's storage.
     for (std::size_t j = 0; j < b.cols(); ++j) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double acc = b(i, j);
-            for (std::size_t k = 0; k < i; ++k)
-                acc -= l(i, k) * b(k, j);
-            b(i, j) = acc / l(i, i);
-        }
-        for (std::size_t ii = n; ii-- > 0;) {
-            double acc = b(ii, j);
-            for (std::size_t k = ii + 1; k < n; ++k)
-                acc -= l(k, ii) * b(k, j);
-            b(ii, j) = acc / l(ii, ii);
-        }
+        forwardStrided(l, b.data() + j, b.cols());
+        backwardStrided(l, b.data() + j, b.cols());
     }
-}
-
-Vector
-gaussianSolve(Matrix a, Vector b)
-{
-    gaussianSolveInPlace(a, b);
-    return b;
-}
-
-void
-gaussianSolveInPlace(Matrix &a, Vector &b)
-{
-    FactorStatus status = gaussianSolveStatusInPlace(a, b);
-    if (status != FactorStatus::Ok)
-        fatal("gaussianSolve: {} matrix of order {}", toString(status),
-              a.rows());
 }
 
 FactorStatus

@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the dense linear algebra substrate:
  * vector/matrix operations, Cholesky factorization, triangular solves,
- * and the Gaussian-elimination oracle.
+ * and Gaussian elimination: the kernels the Riccati recursion and the
+ * dense-KKT backend run.
  */
 
 #include <cmath>
@@ -137,23 +138,33 @@ TEST(Matrix, BlockRoundTrip)
     EXPECT_DOUBLE_EQ(b(0, 0), 0.0);
 }
 
+/** The Cholesky factor of a, which must be positive definite. */
+Matrix
+factor(const Matrix &a)
+{
+    Matrix l;
+    EXPECT_EQ(choleskyInto(a, l), FactorStatus::Ok);
+    return l;
+}
+
+/** The solution of a x = b by Gaussian elimination. */
+Vector
+gaussianSolution(Matrix a, Vector b)
+{
+    EXPECT_EQ(gaussianSolveStatusInPlace(a, b), FactorStatus::Ok);
+    return b;
+}
+
 TEST(Cholesky, FactorsKnownMatrix)
 {
     // A = [[4, 2], [2, 3]] -> L = [[2, 0], [1, sqrt(2)]].
     Matrix a(2, 2);
     a(0, 0) = 4; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 3;
-    Matrix l = cholesky(a);
+    Matrix l = factor(a);
     EXPECT_DOUBLE_EQ(l(0, 0), 2.0);
     EXPECT_DOUBLE_EQ(l(1, 0), 1.0);
     EXPECT_NEAR(l(1, 1), std::sqrt(2.0), 1e-15);
     EXPECT_DOUBLE_EQ(l(0, 1), 0.0);
-}
-
-TEST(Cholesky, ThrowsOnIndefiniteMatrix)
-{
-    Matrix a(2, 2);
-    a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;
-    EXPECT_THROW(cholesky(a), FatalError);
 }
 
 TEST(Cholesky, RegularizedRecoversIndefiniteMatrix)
@@ -161,7 +172,8 @@ TEST(Cholesky, RegularizedRecoversIndefiniteMatrix)
     Matrix a(2, 2);
     a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;
     double reg = 0.0;
-    Matrix l = choleskyRegularized(a, reg);
+    Matrix l;
+    EXPECT_EQ(choleskyRegularizedInto(a, reg, l), FactorStatus::Ok);
     EXPECT_GT(reg, 0.0);
     Matrix shifted = a;
     shifted.addDiagonal(reg);
@@ -173,7 +185,8 @@ TEST(Cholesky, RegularizedLeavesSpdAlone)
     std::mt19937 rng(11);
     Matrix a = randomSpd(5, rng);
     double reg = 0.0;
-    Matrix l = choleskyRegularized(a, reg);
+    Matrix l;
+    EXPECT_EQ(choleskyRegularizedInto(a, reg, l), FactorStatus::Ok);
     EXPECT_EQ(reg, 0.0);
     EXPECT_LT((l.mulTranspose(l) - a).normMax(), 1e-9);
 }
@@ -188,22 +201,32 @@ TEST_P(CholeskyProperty, FactorizationAndSolveRoundTrip)
     std::mt19937 rng(static_cast<unsigned>(GetParam()));
     std::size_t n = static_cast<std::size_t>(GetParam());
     Matrix a = randomSpd(n, rng);
-    Matrix l = cholesky(a);
+    Matrix l = factor(a);
 
     // Reconstruction.
     EXPECT_LT((l.mulTranspose(l) - a).normMax(), 1e-9 * a.normMax());
 
     // Solve round trip.
     Vector x_true = randomVector(n, rng);
-    Vector b = a * x_true;
-    Vector x = choleskySolve(l, b);
+    Vector x = a * x_true;
+    choleskySolveInPlace(l, x);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(x[i], x_true[i], 1e-8);
 
-    // Matrix right-hand side.
+    // Matrix right-hand side: each column is solved exactly as the
+    // vector solve would solve it.
     Matrix rhs = randomMatrix(n, 3, rng);
-    Matrix sol = choleskySolveMatrix(l, rhs);
+    Matrix sol = rhs;
+    choleskySolveMatrixInPlace(l, sol);
     EXPECT_LT((a * sol - rhs).normMax(), 1e-8);
+    for (std::size_t j = 0; j < rhs.cols(); ++j) {
+        Vector col(n);
+        for (std::size_t i = 0; i < n; ++i)
+            col[i] = rhs(i, j);
+        choleskySolveInPlace(l, col);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(sol(i, j), col[i]);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyProperty,
@@ -213,14 +236,16 @@ TEST(Substitution, TriangularSolvesInvertEachOther)
 {
     std::mt19937 rng(5);
     Matrix a = randomSpd(6, rng);
-    Matrix l = cholesky(a);
+    Matrix l = factor(a);
     Vector b = randomVector(6, rng);
-    Vector y = forwardSubstitute(l, b);
+    Vector y = b;
+    forwardSubstituteInPlace(l, y);
     // L y == b.
     Vector ly = l * y;
     for (std::size_t i = 0; i < 6; ++i)
         EXPECT_NEAR(ly[i], b[i], 1e-10);
-    Vector x = backwardSubstitute(l, y);
+    Vector x = y;
+    backwardSubstituteInPlace(l, x);
     Vector ltx = l.transposed() * x;
     for (std::size_t i = 0; i < 6; ++i)
         EXPECT_NEAR(ltx[i], y[i], 1e-10);
@@ -231,8 +256,9 @@ TEST(GaussianSolve, MatchesCholeskyOnSpdSystems)
     std::mt19937 rng(9);
     Matrix a = randomSpd(7, rng);
     Vector b = randomVector(7, rng);
-    Vector x_chol = choleskySolve(cholesky(a), b);
-    Vector x_gauss = gaussianSolve(a, b);
+    Vector x_chol = b;
+    choleskySolveInPlace(factor(a), x_chol);
+    Vector x_gauss = gaussianSolution(a, b);
     for (std::size_t i = 0; i < 7; ++i)
         EXPECT_NEAR(x_gauss[i], x_chol[i], 1e-8);
 }
@@ -242,21 +268,14 @@ TEST(GaussianSolve, HandlesNonSymmetricAndPivots)
     // Requires a row swap: zero on the leading diagonal.
     Matrix a(2, 2);
     a(0, 0) = 0; a(0, 1) = 1; a(1, 0) = 1; a(1, 1) = 0;
-    Vector x = gaussianSolve(a, Vector{3.0, 4.0});
+    Vector x = gaussianSolution(a, Vector{3.0, 4.0});
     EXPECT_DOUBLE_EQ(x[0], 4.0);
     EXPECT_DOUBLE_EQ(x[1], 3.0);
 }
 
-TEST(GaussianSolve, ThrowsOnSingularMatrix)
-{
-    Matrix a(2, 2);
-    a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 4;
-    EXPECT_THROW(gaussianSolve(a, Vector{1.0, 1.0}), FatalError);
-}
-
 // ---------------------------------------------------------------------
-// Status-returning kernels (the non-throwing layer underneath the
-// throwing wrappers; used by the MPC failsafe path).
+// Failure statuses: the kernels report numeric failure instead of
+// throwing (the MPC failsafe path owns recovery).
 // ---------------------------------------------------------------------
 
 TEST(FactorStatus, CholeskyIntoReportsInsteadOfThrowing)
@@ -287,18 +306,18 @@ TEST(FactorStatus, RegularizedLadderIsCappedOnNonFiniteInput)
     double reg = 0.0;
     EXPECT_EQ(choleskyRegularizedInto(a, reg, l),
               FactorStatus::NonFinite);
-    // The throwing wrapper surfaces the same condition as FatalError.
-    EXPECT_THROW(choleskyRegularized(a, reg), FatalError);
 }
 
 TEST(FactorStatus, RegularizedIntoRecoversIndefiniteMatrix)
 {
+    // Eigenvalues 3 and -1: the ladder starts at the caller's shift
+    // (0.5, still indefinite) and succeeds one decade later.
     Matrix a(2, 2);
     a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;
     Matrix l(2, 2);
-    double reg = 0.0;
+    double reg = 0.5;
     EXPECT_EQ(choleskyRegularizedInto(a, reg, l), FactorStatus::Ok);
-    EXPECT_GT(reg, 0.0);
+    EXPECT_EQ(reg, 5.0);
 }
 
 TEST(FactorStatus, GaussianStatusReportsSingularAndNonFinite)

@@ -260,7 +260,8 @@ denseKktSolve(const std::vector<StageQp> &stages, const Matrix &qn,
         erow += nx;
     }
 
-    Vector sol = gaussianSolve(kkt, rhs);
+    Vector sol = rhs;
+    ASSERT_EQ(gaussianSolveStatusInPlace(kkt, sol), FactorStatus::Ok);
     dx.assign(n_stages + 1, Vector(nx));
     du.assign(n_stages, Vector(nu));
     for (std::size_t k = 0; k <= n_stages; ++k)

@@ -220,14 +220,15 @@ class IpmSolver
     struct SolverWorkspace
     {
         std::vector<StageQp> stages;  //!< N condensed stage QPs.
+        /** Terminal stage: Hessian q and gradient qv (cost plus
+         *  barrier); its input blocks r, s, rv are empty. */
+        StageQp terminal;
         std::vector<StageEval> dyn;   //!< N dynamics evaluations.
         StageEval costEval;
         StageEval ineqEval;
-        std::vector<Vector> qv0;      //!< Cost-only x gradients.
-        std::vector<Vector> rv0;      //!< Cost-only u gradients.
-        Matrix qn;                    //!< Terminal Hessian.
-        Vector qnv0;                  //!< Terminal cost-only gradient.
-        Vector qnv;                   //!< Terminal gradient + barrier.
+        std::vector<Vector> qv0;      //!< N+1 cost-only x gradients.
+        /** N+1 cost-only u gradients; the terminal one is empty. */
+        std::vector<Vector> rv0;
         std::vector<Vector> yblk;     //!< Barrier target per block.
         Vector dx0;                   //!< x0 - xs[0].
         Vector hdz;                   //!< Constraint-row step scratch.
@@ -249,7 +250,19 @@ class IpmSolver
      *  solve's values by one stage (using the row maps precomputed in
      *  the constructor) and return a matching barrier. */
     double initializeSlacks(const std::vector<Vector> &refs);
-    void evaluateIneq(IneqBlock &blk, const StageEval &eval) const;
+    /** Evaluate stage k's inequality tape (the terminal one at k == N)
+     *  and select its block's rows into h, hx and hu. */
+    void evaluateIneq(int k, const std::vector<Vector> &refs);
+    /**
+     * Fill stage k's Hessian blocks and cost-only gradients (qv0, rv0)
+     * from its Gauss-Newton cost terms and the barrier curvature of
+     * its inequality rows, then mirror the lower triangles. The
+     * terminal stage (k == N) runs the same code with an empty input
+     * block.
+     */
+    void assembleStage(int k, const std::vector<Vector> &refs);
+    /** Average s_i lam_i over every inequality row (0 without rows). */
+    double averageComplementarity() const;
     double meritFunction(const std::vector<Vector> &xs,
                          const std::vector<Vector> &us,
                          const std::vector<Vector> &slacks,
@@ -262,6 +275,7 @@ class IpmSolver
     std::vector<Vector> xs_; //!< N+1 states.
     std::vector<Vector> us_; //!< N inputs.
     std::vector<IneqBlock> ineq_; //!< N running blocks + 1 terminal.
+    std::size_t ineq_rows_ = 0;   //!< Rows over all of ineq_.
     SolveStats stats_;
     Result result_;
     SolverWorkspace ws_;

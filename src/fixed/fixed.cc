@@ -5,7 +5,6 @@
 
 #include "fixed/fixed.hh"
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
@@ -16,11 +15,6 @@ namespace
 {
 thread_local std::uint64_t saturation_events = 0;
 thread_local std::uint64_t div_zero_events = 0;
-
-// Process-wide aggregates fed by flushCounts(). The per-event path
-// never touches these, so counting stays free of atomic traffic.
-std::atomic<std::uint64_t> global_saturation_events{0};
-std::atomic<std::uint64_t> global_div_zero_events{0};
 } // namespace
 
 std::int32_t
@@ -137,40 +131,6 @@ Fixed::divByZeroCount()
 void
 Fixed::resetCounts()
 {
-    saturation_events = 0;
-    div_zero_events = 0;
-}
-
-void
-Fixed::flushCounts()
-{
-    global_saturation_events.fetch_add(saturation_events,
-                                       std::memory_order_relaxed);
-    global_div_zero_events.fetch_add(div_zero_events,
-                                     std::memory_order_relaxed);
-    saturation_events = 0;
-    div_zero_events = 0;
-}
-
-std::uint64_t
-Fixed::globalSaturationCount()
-{
-    return global_saturation_events.load(std::memory_order_relaxed) +
-           saturation_events;
-}
-
-std::uint64_t
-Fixed::globalDivByZeroCount()
-{
-    return global_div_zero_events.load(std::memory_order_relaxed) +
-           div_zero_events;
-}
-
-void
-Fixed::resetGlobalCounts()
-{
-    global_saturation_events.store(0, std::memory_order_relaxed);
-    global_div_zero_events.store(0, std::memory_order_relaxed);
     saturation_events = 0;
     div_zero_events = 0;
 }

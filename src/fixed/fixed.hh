@@ -113,26 +113,6 @@ class Fixed
     /** Reset both thread-local statistics (saturation + div-by-zero). */
     static void resetCounts();
 
-    /**
-     * Fold this thread's counters into the process-wide aggregates and
-     * zero the thread-local values. The counting hot path stays
-     * thread-local (no atomics per event); worker threads flush once
-     * per batch (mpc::BatchController does this after draining its
-     * queue) so a coordinator thread can read aggregate statistics that
-     * would otherwise be invisible to it.
-     */
-    static void flushCounts();
-
-    /** Process-wide saturation events: everything flushed by any
-     *  thread plus the calling thread's unflushed count. Counts from
-     *  other threads that have not called flushCounts() yet are not
-     *  included. */
-    static std::uint64_t globalSaturationCount();
-    /** Process-wide division-by-zero events (same visibility rules). */
-    static std::uint64_t globalDivByZeroCount();
-    /** Zero the process-wide aggregates and this thread's counters. */
-    static void resetGlobalCounts();
-
   private:
     /** Clamp a wide intermediate into the 32-bit range, counting events. */
     static std::int32_t saturate(std::int64_t wide);

@@ -114,11 +114,9 @@ TEST(Fixed, DivByZeroCounterTracksSeparatelyFromSaturations)
     EXPECT_EQ(Fixed::saturationCount(), 0u);
 }
 
-TEST(Fixed, FlushMakesWorkerThreadEventsGloballyVisible)
+TEST(Fixed, WorkerThreadEventsStayThreadLocal)
 {
     Fixed::resetCounts();
-    Fixed::resetGlobalCounts();
-    const std::uint64_t before_local = Fixed::saturationCount();
 
     std::thread worker([] {
         Fixed::resetCounts();
@@ -127,19 +125,13 @@ TEST(Fixed, FlushMakesWorkerThreadEventsGloballyVisible)
             (void)(a / Fixed());
         EXPECT_EQ(Fixed::saturationCount(), 3u);
         EXPECT_EQ(Fixed::divByZeroCount(), 3u);
-        // Fold this thread's counters into the process-wide totals
-        // (what BatchController workers do after draining a batch).
-        Fixed::flushCounts();
-        EXPECT_EQ(Fixed::saturationCount(), 0u);
     });
     worker.join();
 
-    // The coordinator's thread-local view is untouched...
-    EXPECT_EQ(Fixed::saturationCount(), before_local);
-    // ...but the flushed events are visible process-wide.
-    EXPECT_GE(Fixed::globalSaturationCount(), 3u);
-    EXPECT_GE(Fixed::globalDivByZeroCount(), 3u);
-    Fixed::resetGlobalCounts();
+    // The worker's events never reach this thread's counters (a solve
+    // reports its own thread's deltas through SolveStats::numeric).
+    EXPECT_EQ(Fixed::saturationCount(), 0u);
+    EXPECT_EQ(Fixed::divByZeroCount(), 0u);
 }
 
 TEST(Fixed, AdditionSaturatesAtRangeEnds)

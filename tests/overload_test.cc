@@ -580,6 +580,7 @@ TEST(Overload, QuarantinedRobotCountsAsUnsolved)
     batch.solveAll(states, refs);
 
     const BatchReport &report = batch.report();
+    EXPECT_EQ(report.solves - before.solves, kThrower);
     std::uint64_t iterations = 0, flops = 0;
     for (std::size_t i = 0; i < kThrower; ++i) {
         iterations += static_cast<std::uint64_t>(results[i].iterations);

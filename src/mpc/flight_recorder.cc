@@ -8,46 +8,10 @@
 #include <sstream>
 
 #include "mpc/checkpoint_io.hh"
-#include "support/logging.hh"
 #include "support/strings.hh"
 
 namespace robox::mpc
 {
-
-void
-FlightRecorder::configure(int capacity)
-{
-    ring_.assign(capacity > 0 ? static_cast<std::size_t>(capacity) : 0,
-                 FlightRecord());
-    clear();
-}
-
-void
-FlightRecorder::clear()
-{
-    head_ = 0;
-    count_ = 0;
-    total_ = 0;
-}
-
-void
-FlightRecorder::push(const FlightRecord &rec)
-{
-    ++total_;
-    if (ring_.empty())
-        return;
-    ring_[head_] = rec;
-    head_ = (head_ + 1) % ring_.size();
-    if (count_ < ring_.size())
-        ++count_;
-}
-
-const FlightRecord &
-FlightRecorder::record(int i) const
-{
-    robox_assert(i >= 0 && i < size());
-    return ring_[slot(static_cast<std::size_t>(i))];
-}
 
 namespace
 {

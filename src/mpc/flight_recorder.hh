@@ -2,11 +2,11 @@
  * @file
  * Black-box flight recorder for the serving layer.
  *
- * A fixed-capacity in-place ring of the most recent per-period
- * records — measured state, issued command, SolveStatus, admission
- * rung, sensor/link verdicts — in the same ring discipline as the
- * per-solve iteration trace (mpc/solve_trace.hh): pre-sized once by
- * configure(), written in place, never allocating on the hot path.
+ * A fixed-capacity in-place ring (support/ring.hh, like the per-solve
+ * iteration trace) of the most recent per-period records — measured
+ * state, issued command, SolveStatus, admission rung, sensor/link
+ * verdicts: pre-sized once by configure(), written in place, never
+ * allocating on the hot path.
  *
  * The recorder is the "black box" of the crash-safe serving story
  * (support/checkpoint.hh): it is embedded in every checkpoint, so the
@@ -22,11 +22,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "linalg/matrix.hh"
 #include "mpc/status.hh"
 #include "support/checkpoint.hh"
+#include "support/ring.hh"
 
 namespace robox::mpc
 {
@@ -50,30 +50,9 @@ struct FlightRecord
 };
 
 /** Fixed-capacity ring of FlightRecords; see the file comment. */
-class FlightRecorder
+class FlightRecorder : public support::Ring<FlightRecord>
 {
   public:
-    /** Size (or resize) the ring; capacity 0 disables recording. */
-    void configure(int capacity);
-
-    /** Forget all records but keep the storage. */
-    void clear();
-
-    /** Append a record, overwriting the oldest when full. */
-    void push(const FlightRecord &rec);
-
-    bool enabled() const { return !ring_.empty(); }
-    int capacity() const { return static_cast<int>(ring_.size()); }
-    int size() const { return static_cast<int>(count_); }
-    bool empty() const { return count_ == 0; }
-    /** Records pushed since the last clear (>= size when wrapped). */
-    std::uint64_t totalRecorded() const { return total_; }
-    /** Records lost to ring wrap-around. */
-    std::uint64_t dropped() const { return total_ - count_; }
-
-    /** i-th retained record, oldest first (i in [0, size())). */
-    const FlightRecord &record(int i) const;
-
     /**
      * Deterministic JSON postmortem: capacity/recorded/dropped plus
      * every retained record, oldest first. Equal recorder states
@@ -92,17 +71,6 @@ class FlightRecorder
   private:
     template <class Io, class Self>
     static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
-
-    /** Ring slot of the i-th retained record, oldest first. */
-    std::size_t slot(std::size_t i) const
-    {
-        return (head_ + ring_.size() - count_ + i) % ring_.size();
-    }
-
-    std::vector<FlightRecord> ring_;
-    std::size_t head_ = 0;  //!< Next write slot.
-    std::size_t count_ = 0; //!< Retained records.
-    std::uint64_t total_ = 0;
 };
 
 } // namespace robox::mpc

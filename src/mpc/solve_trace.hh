@@ -20,11 +20,10 @@
 #ifndef ROBOX_MPC_SOLVE_TRACE_HH
 #define ROBOX_MPC_SOLVE_TRACE_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "linalg/cholesky.hh"
+#include "support/ring.hh"
 
 namespace robox::mpc
 {
@@ -59,68 +58,8 @@ struct IterationRecord
     int coldRestarts = 0;
 };
 
-/**
- * Fixed-capacity ring of IterationRecords. configure() allocates the
- * storage once; clear() and push() never touch the heap.
- */
-class SolveTrace
-{
-  public:
-    /** Size (or resize) the ring; called at solver construction.
-     *  Capacity 0 disables recording (push becomes a no-op). */
-    void configure(int capacity)
-    {
-        ring_.assign(capacity > 0 ? static_cast<std::size_t>(capacity)
-                                  : 0,
-                     IterationRecord());
-        clear();
-    }
-
-    /** Forget all records but keep the storage. */
-    void clear()
-    {
-        head_ = 0;
-        count_ = 0;
-        total_ = 0;
-    }
-
-    /** Append a record, overwriting the oldest when full. */
-    void push(const IterationRecord &rec)
-    {
-        ++total_;
-        if (ring_.empty())
-            return;
-        ring_[head_] = rec;
-        head_ = (head_ + 1) % ring_.size();
-        if (count_ < ring_.size())
-            ++count_;
-    }
-
-    bool enabled() const { return !ring_.empty(); }
-    int capacity() const { return static_cast<int>(ring_.size()); }
-    /** Records currently retained (<= capacity). */
-    int size() const { return static_cast<int>(count_); }
-    bool empty() const { return count_ == 0; }
-    /** Records pushed since the last clear (>= size when wrapped). */
-    std::uint64_t totalRecorded() const { return total_; }
-    /** Records lost to ring wrap-around. */
-    std::uint64_t dropped() const { return total_ - count_; }
-
-    /** i-th retained record, oldest first (i in [0, size())). */
-    const IterationRecord &record(int i) const
-    {
-        std::size_t idx =
-            (head_ + ring_.size() - count_ + static_cast<std::size_t>(i)) %
-            ring_.size();
-        return ring_[idx];
-    }
-
-  private:
-    std::vector<IterationRecord> ring_;
-    std::size_t head_ = 0;  //!< Next write slot.
-    std::size_t count_ = 0; //!< Retained records.
-    std::uint64_t total_ = 0;
-};
+/** Fixed-capacity ring of IterationRecords (support/ring.hh). */
+using SolveTrace = support::Ring<IterationRecord>;
 
 /**
  * Render the trace as an aligned text table (one row per retained

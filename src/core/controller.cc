@@ -41,14 +41,6 @@ Controller::recordFlight(const Vector &x,
     recorder_.push(rec);
 }
 
-mpc::IpmSolver::Result
-Controller::applyFailsafe(mpc::IpmSolver::Result result)
-{
-    backup_.settle(result, *solver_);
-    last_status_ = result.status;
-    return result;
-}
-
 bool
 Controller::gateRejects(const Vector &x, mpc::IpmSolver::Result *rejected)
 {
@@ -65,33 +57,31 @@ Controller::gateRejects(const Vector &x, mpc::IpmSolver::Result *rejected)
     return true;
 }
 
+template <class Refs>
 mpc::IpmSolver::Result
-Controller::step(const Vector &x, const Vector &ref)
+Controller::stepWith(const Vector &x, const Refs &refs)
 {
     ++periods_;
-    mpc::IpmSolver::Result rejected;
-    if (gateRejects(x, &rejected)) {
-        recordFlight(x, rejected);
-        return rejected;
+    mpc::IpmSolver::Result result;
+    if (!gateRejects(x, &result)) {
+        result = solver_->solve(x, refs);
+        backup_.settle(result, *solver_);
+        last_status_ = result.status;
     }
-    mpc::IpmSolver::Result result = applyFailsafe(solver_->solve(x, ref));
     recordFlight(x, result);
     return result;
 }
 
 mpc::IpmSolver::Result
+Controller::step(const Vector &x, const Vector &ref)
+{
+    return stepWith(x, ref);
+}
+
+mpc::IpmSolver::Result
 Controller::step(const Vector &x, const std::vector<Vector> &refs)
 {
-    ++periods_;
-    mpc::IpmSolver::Result rejected;
-    if (gateRejects(x, &rejected)) {
-        recordFlight(x, rejected);
-        return rejected;
-    }
-    mpc::IpmSolver::Result result =
-        applyFailsafe(solver_->solve(x, refs));
-    recordFlight(x, result);
-    return result;
+    return stepWith(x, refs);
 }
 
 template <class Io, class Self>

@@ -199,8 +199,10 @@ class Controller
     template <class Io, class Self>
     static bool transfer(Io &io, Self &self); //!< Checkpointed fields.
 
-    /** Shared failure handling for both step() overloads. */
-    mpc::IpmSolver::Result applyFailsafe(mpc::IpmSolver::Result result);
+    /** The one body of both step() overloads: gate the measurement,
+     *  solve against refs, settle the backup plan, record the period. */
+    template <class Refs>
+    mpc::IpmSolver::Result stepWith(const Vector &x, const Refs &refs);
 
     /** Gate the measurement; returns true (and fills *rejected) when
      *  the solve must be skipped this period. */

@@ -13,20 +13,6 @@
 namespace robox
 {
 
-double &
-Vector::operator[](std::size_t i)
-{
-    robox_assert_dbg(i < data_.size());
-    return data_[i];
-}
-
-double
-Vector::operator[](std::size_t i) const
-{
-    robox_assert_dbg(i < data_.size());
-    return data_[i];
-}
-
 Vector
 Vector::operator+(const Vector &o) const
 {
@@ -182,20 +168,6 @@ Matrix::diagonal(const Vector &d)
     for (std::size_t i = 0; i < d.size(); ++i)
         m(i, i) = d[i];
     return m;
-}
-
-double &
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    robox_assert_dbg(r < rows_ && c < cols_);
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    robox_assert_dbg(r < rows_ && c < cols_);
-    return data_[r * cols_ + c];
 }
 
 Matrix

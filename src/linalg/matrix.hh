@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.hh"
+
 namespace robox
 {
 
@@ -34,8 +36,16 @@ class Vector
     Vector(std::initializer_list<double> init) : data_(init) {}
 
     std::size_t size() const { return data_.size(); }
-    double &operator[](std::size_t i);
-    double operator[](std::size_t i) const;
+    double &operator[](std::size_t i)
+    {
+        robox_assert_dbg(i < data_.size());
+        return data_[i];
+    }
+    double operator[](std::size_t i) const
+    {
+        robox_assert_dbg(i < data_.size());
+        return data_[i];
+    }
     double *data() { return data_.data(); }
     const double *data() const { return data_.data(); }
 
@@ -95,8 +105,16 @@ class Matrix
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
-    double &operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    double &operator()(std::size_t r, std::size_t c)
+    {
+        robox_assert_dbg(r < rows_ && c < cols_);
+        return data_[r * cols_ + c];
+    }
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        robox_assert_dbg(r < rows_ && c < cols_);
+        return data_[r * cols_ + c];
+    }
     double *data() { return data_.data(); }
     const double *data() const { return data_.data(); }
 

@@ -18,6 +18,7 @@ Controller::Controller(const std::string &source,
       backup_(model_),
       gate_(model_, options)
 {
+    result_.u0.resize(static_cast<std::size_t>(model_.nu()));
     if (options.flightRecorderCapacity > 0)
         recorder_.configure(options.flightRecorderCapacity);
 }
@@ -58,27 +59,26 @@ Controller::gateRejects(const Vector &x, mpc::IpmSolver::Result *rejected)
 }
 
 template <class Refs>
-mpc::IpmSolver::Result
+const mpc::IpmSolver::Result &
 Controller::stepWith(const Vector &x, const Refs &refs)
 {
     ++periods_;
-    mpc::IpmSolver::Result result;
-    if (!gateRejects(x, &result)) {
-        result = solver_->solve(x, refs);
-        backup_.settle(result, *solver_);
-        last_status_ = result.status;
+    if (!gateRejects(x, &result_)) {
+        result_ = solver_->solve(x, refs);
+        backup_.settle(result_, *solver_);
+        last_status_ = result_.status;
     }
-    recordFlight(x, result);
-    return result;
+    recordFlight(x, result_);
+    return result_;
 }
 
-mpc::IpmSolver::Result
+const mpc::IpmSolver::Result &
 Controller::step(const Vector &x, const Vector &ref)
 {
     return stepWith(x, ref);
 }
 
-mpc::IpmSolver::Result
+const mpc::IpmSolver::Result &
 Controller::step(const Vector &x, const std::vector<Vector> &refs)
 {
     return stepWith(x, refs);

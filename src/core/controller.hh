@@ -75,13 +75,17 @@ class Controller
      * entirely — the warm start is untouched, the backup command is
      * issued, and the result is SolveStatus::BadInput with degraded
      * set. See mpc/sensor_gate.hh.
+     *
+     * Returns a reference to per-controller storage, valid until the
+     * next step() or reset(), so a warm step allocates nothing; copy
+     * it to keep a snapshot.
      */
-    mpc::IpmSolver::Result step(const Vector &x, const Vector &ref);
+    const mpc::IpmSolver::Result &step(const Vector &x, const Vector &ref);
 
     /** Invocation with a previewed reference trajectory: refs[k] is
      *  applied at horizon stage k (refs[N] at the terminal stage). */
-    mpc::IpmSolver::Result step(const Vector &x,
-                                const std::vector<Vector> &refs);
+    const mpc::IpmSolver::Result &step(const Vector &x,
+                                       const std::vector<Vector> &refs);
 
     /** Drop the warm start (e.g. after teleporting the robot), the
      *  stored backup plan, and the sensor-gate baseline. The flight
@@ -202,7 +206,8 @@ class Controller
     /** The one body of both step() overloads: gate the measurement,
      *  solve against refs, settle the backup plan, record the period. */
     template <class Refs>
-    mpc::IpmSolver::Result stepWith(const Vector &x, const Refs &refs);
+    const mpc::IpmSolver::Result &stepWith(const Vector &x,
+                                           const Refs &refs);
 
     /** Gate the measurement; returns true (and fills *rejected) when
      *  the solve must be skipped this period. */
@@ -217,6 +222,7 @@ class Controller
     mpc::BackupPlan backup_;
     mpc::SensorGate gate_;
     mpc::SolveStatus last_status_ = mpc::SolveStatus::Unsolved;
+    mpc::IpmSolver::Result result_; //!< What step() last returned.
     mpc::FlightRecorder recorder_;
     std::uint64_t periods_ = 0; //!< step() invocations so far.
 };

@@ -34,6 +34,10 @@ struct DenseKktWorkspace
 {
     Matrix kkt;
     Vector rhs;
+
+    /** Shape kkt and rhs for n_stages stages of nx states and nu
+     *  inputs; a no-op when already shaped. */
+    void resize(std::size_t n_stages, std::size_t nx, std::size_t nu);
 };
 
 /**

@@ -6,6 +6,7 @@
 
 #include "mpc/problem.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/logging.hh"
@@ -214,6 +215,31 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
 
     run_ineq_tape_ = stageTape(run_rows, nx_, nu_, total);
     term_ineq_tape_ = stageTape(term_rows, nx_, 0, total);
+
+    // Size the evaluation scratch for the largest tape, so no solve
+    // (the first included) grows it.
+    std::size_t slots = 0;
+    std::size_t outputs = 0;
+    for (const sym::Tape *t : {&dyn_tape_, &run_cost_tape_,
+                               &term_cost_tape_, &run_ineq_tape_,
+                               &term_ineq_tape_}) {
+        slots = std::max(slots, static_cast<std::size_t>(t->numSlots()));
+        outputs = std::max(outputs, t->outputSlots().size());
+    }
+    env_.resize(static_cast<std::size_t>(total));
+    tape_work_.reserve(slots);
+    tape_out_.reserve(outputs);
+    if (options_.fixedPointTapes) {
+        fixed_env_.resize(env_.size());
+        fixed_work_.reserve(slots);
+        fixed_out_.reserve(outputs);
+        if (options_.crossCheckFixedPoint) {
+            golden_work_.reserve(slots);
+            golden_out_.reserve(outputs);
+        }
+        if (options_.accelSelfCheck)
+            parity_scratch_.reserve(env_.size());
+    }
 }
 
 void
@@ -226,26 +252,23 @@ MpcProblem::pack(const Vector &x, const Vector *u, const Vector &ref) const
     robox_assert_dbg(static_cast<int>(x.size()) == nx_);
     robox_assert_dbg(!u || static_cast<int>(u->size()) == nu_);
     robox_assert_dbg(static_cast<int>(ref.size()) == nref_);
-    env_.assign(static_cast<std::size_t>(nx_ + nu_ + nref_), 0.0);
     for (int i = 0; i < nx_; ++i)
         env_[i] = x[i];
-    if (u)
-        for (int i = 0; i < nu_; ++i)
-            env_[nx_ + i] = (*u)[i];
+    for (int i = 0; i < nu_; ++i)
+        env_[nx_ + i] = u ? (*u)[i] : 0.0;
     for (int i = 0; i < nref_; ++i)
         env_[nx_ + nu_ + i] = ref[i];
 }
 
 const std::vector<double> &
-MpcProblem::runTape(const sym::Tape &tape) const
+MpcProblem::runTape(const sym::Tape &tape, std::size_t outputs) const
 {
     if (!options_.fixedPointTapes) {
-        tape.evalInto(env_, tape_work_, tape_out_);
+        tape.evalInto(env_, tape_work_, tape_out_, outputs);
         return tape_out_;
     }
     // Accelerator datapath: quantize inputs, evaluate with saturating
     // Q14.17 arithmetic and LUT nonlinears, and dequantize the results.
-    fixed_env_.resize(env_.size());
 
     // One evaluation attempt: quantize afresh from the (uncorrupted)
     // host-side environment, run the fault hook at the current cycle
@@ -381,7 +404,8 @@ MpcProblem::evalInto(const sym::Tape &tape, int rows, const Vector &x,
                      StageEval &out) const
 {
     pack(x, u, ref);
-    unpack(runTape(tape), rows, nx_, u ? nu_ : 0, out);
+    unpack(runTape(tape, tape.outputSlots().size()), rows, nx_,
+           u ? nu_ : 0, out);
 }
 
 void
@@ -390,7 +414,7 @@ MpcProblem::valueInto(const sym::Tape &tape, int rows, const Vector &x,
                       Vector &out) const
 {
     pack(x, u, ref);
-    const auto &vals = runTape(tape);
+    const auto &vals = runTape(tape, static_cast<std::size_t>(rows));
     if (out.size() != static_cast<std::size_t>(rows))
         out.resize(static_cast<std::size_t>(rows));
     for (int i = 0; i < rows; ++i)
@@ -441,14 +465,15 @@ MpcProblem::objective(const std::vector<Vector> &xs,
     robox_assert_dbg(xs.size() == us.size() + 1);
     double total = 0.0;
     for (std::size_t k = 0; k < us.size(); ++k) {
-        // Value-only use of the tapes; Jacobian slots are ignored.
+        // Value-only use of the tapes: only the residual rows run.
         pack(xs[k], &us[k], refs[k]);
-        const auto &out = runTape(run_cost_tape_);
+        const auto &out =
+            runTape(run_cost_tape_, running_weights_.size());
         for (int i = 0; i < numRunningResiduals(); ++i)
             total += running_weights_[i] * out[i] * out[i];
     }
     pack(xs.back(), nullptr, refs.back());
-    const auto &out = runTape(term_cost_tape_);
+    const auto &out = runTape(term_cost_tape_, terminal_weights_.size());
     for (int i = 0; i < numTerminalResiduals(); ++i)
         total += terminal_weights_[i] * out[i] * out[i];
     return total;

@@ -206,13 +206,18 @@ class MpcProblem
     /**
      * Evaluate a tape in double or fixed point per the options,
      * reading the environment packed by pack() and returning a
-     * reference to the reusable output scratch. Reuses mutable
-     * per-instance buffers so steady-state evaluation is
+     * reference to the reusable output scratch, whose first `outputs`
+     * values are valid. The double path runs only the instruction
+     * prefix those outputs need (sym::Tape::outputEnds()); the
+     * fixed-point path always runs the whole tape, so its saturation
+     * counts do not depend on the caller. Reuses mutable per-instance
+     * buffers, sized at construction, so evaluation is
      * allocation-free; an MpcProblem instance is therefore not safe to
      * share across threads (BatchController gives each worker its own
      * solver, and with it its own problem).
      */
-    const std::vector<double> &runTape(const sym::Tape &tape) const;
+    const std::vector<double> &runTape(const sym::Tape &tape,
+                                       std::size_t outputs) const;
 
     /** Pack [x | u | ref] into the environment scratch; a terminal
      *  stage passes no u and packs [x | 0 | ref]. */
@@ -223,7 +228,8 @@ class MpcProblem
     void evalInto(const sym::Tape &tape, int rows, const Vector &x,
                   const Vector *u, const Vector &ref,
                   StageEval &out) const;
-    /** Value-only evaluation: the first rows outputs of the tape. */
+    /** Value-only evaluation: the first rows outputs of the tape,
+     *  which on the double path run only the value prefix. */
     void valueInto(const sym::Tape &tape, int rows, const Vector &x,
                    const Vector *u, const Vector &ref, Vector &out) const;
 

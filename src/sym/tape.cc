@@ -89,9 +89,12 @@ Tape::Tape(const std::vector<Expr> &outputs, int num_vars)
     std::unordered_map<double, int> const_slot;
     int next_slot = num_vars;
     output_slots_.reserve(outputs.size());
-    for (const Expr &e : outputs)
+    output_ends_.reserve(outputs.size());
+    for (const Expr &e : outputs) {
         output_slots_.push_back(lowerNode(e, num_vars, slot_of, const_slot,
                                           instrs_, preloads_, next_slot));
+        output_ends_.push_back(static_cast<int>(instrs_.size()));
+    }
     num_slots_ = next_slot;
 }
 
@@ -108,13 +111,27 @@ void
 Tape::evalInto(const std::vector<double> &inputs,
                std::vector<double> &work, std::vector<double> &out) const
 {
+    evalInto(inputs, work, out, output_slots_.size());
+}
+
+void
+Tape::evalInto(const std::vector<double> &inputs,
+               std::vector<double> &work, std::vector<double> &out,
+               std::size_t num_outputs) const
+{
     robox_assert(static_cast<int>(inputs.size()) == num_vars_);
-    work.assign(num_slots_, 0.0);
+    robox_assert(num_outputs <= output_slots_.size());
+    // No fill: inputs, preloads and instruction results write every
+    // slot before any instruction or output reads it.
+    work.resize(num_slots_);
     for (int i = 0; i < num_vars_; ++i)
         work[i] = inputs[i];
     for (const Preload &p : preloads_)
         work[p.slot] = p.value;
-    for (const Instr &in : instrs_) {
+    const Instr *end =
+        instrs_.data() + (num_outputs ? output_ends_[num_outputs - 1] : 0);
+    for (const Instr *it = instrs_.data(); it != end; ++it) {
+        const Instr &in = *it;
         double a = work[in.a];
         switch (in.op) {
           case Op::Add: work[in.dst] = a + work[in.b]; break;
@@ -136,8 +153,8 @@ Tape::evalInto(const std::vector<double> &inputs,
           default: panic("tape eval: bad op {}", opName(in.op));
         }
     }
-    out.resize(output_slots_.size());
-    for (std::size_t i = 0; i < output_slots_.size(); ++i)
+    out.resize(num_outputs);
+    for (std::size_t i = 0; i < num_outputs; ++i)
         out[i] = work[output_slots_[i]];
 }
 

@@ -79,6 +79,13 @@ class Tape
     const std::vector<Preload> &preloads() const { return preloads_; }
     /** Slot index of each output, aligned with the constructor input. */
     const std::vector<int> &outputSlots() const { return output_slots_; }
+    /**
+     * Per output i, the length of the instruction prefix that computes
+     * outputs 0..i. Outputs are lowered in order and every instruction
+     * follows its operands, so the prefix holds all they need; the
+     * values are nondecreasing.
+     */
+    const std::vector<int> &outputEnds() const { return output_ends_; }
 
     /** Evaluate in double precision. */
     std::vector<double> eval(const std::vector<double> &inputs) const;
@@ -93,6 +100,16 @@ class Tape
     void evalInto(const std::vector<double> &inputs,
                   std::vector<double> &work,
                   std::vector<double> &out) const;
+
+    /**
+     * Evaluate only the first num_outputs outputs into out, running
+     * just the instruction prefix that computes them (outputEnds()).
+     * The values are bitwise those of the full evaluation: the prefix
+     * runs the same operations on the same operands in the same order.
+     */
+    void evalInto(const std::vector<double> &inputs,
+                  std::vector<double> &work, std::vector<double> &out,
+                  std::size_t num_outputs) const;
 
     /**
      * Evaluate in Q14.17 fixed point, using LUT-backed nonlinear
@@ -115,6 +132,7 @@ class Tape
     std::vector<Instr> instrs_;
     std::vector<Preload> preloads_;
     std::vector<int> output_slots_;
+    std::vector<int> output_ends_;
 };
 
 } // namespace robox::sym

@@ -12,6 +12,7 @@
 
 #include "core/controller.hh"
 #include "core/evaluation.hh"
+#include "support/alloc_hook.hh"
 #include "support/logging.hh"
 
 namespace robox::core
@@ -174,6 +175,25 @@ s.eager(g);
         refs.push_back(Vector{0.1 * k});
     auto rp = eager.step(Vector{0.0}, refs);
     EXPECT_TRUE(std::isfinite(rp.u0[0]));
+}
+
+// step() returns the controller's own Result, so once the backup plan
+// has taken its first plan a warm period touches no heap.
+TEST(Controller, WarmStepAllocatesNothing)
+{
+    if (!support::allocCountingActive())
+        GTEST_SKIP() << "allocation counting hook not linked";
+    const robots::Benchmark &bench = robots::benchmark("MobileRobot");
+    Controller controller(bench.source, bench.options);
+    controller.step(bench.initialState, bench.reference);
+    const std::uint64_t before = support::allocCount();
+    const mpc::IpmSolver::Result &result =
+        controller.step(bench.initialState, bench.reference);
+    EXPECT_EQ(support::allocCount() - before, 0u);
+    EXPECT_TRUE(mpc::statusUsable(result.status));
+    // The reference names the same storage on every step.
+    EXPECT_EQ(&result,
+              &controller.step(bench.initialState, bench.reference));
 }
 
 TEST(Evaluation, GeometricMeanBasics)

@@ -155,6 +155,25 @@ gaussianSolution(Matrix a, Vector b)
     return b;
 }
 
+// The accessors are inline, but keep their debug bounds checks: the
+// Debug sanitizer builds prove it, and optimized builds skip this.
+TEST(LinalgDeathTest, OutOfRangeElementAccessPanics)
+{
+#if defined(NDEBUG) && !defined(ROBOX_FORCE_ASSERTS)
+    GTEST_SKIP() << "bounds checks are compiled out under NDEBUG";
+#else
+    Matrix m(2, 3);
+    const Matrix &cm = m;
+    Vector v(3);
+    const Vector &cv = v;
+    EXPECT_DEATH(m(2, 0) = 1.0, "assertion");
+    EXPECT_DEATH(m(0, 3) = 1.0, "assertion");
+    EXPECT_DEATH((void)cm(2, 3), "assertion");
+    EXPECT_DEATH(v[3] = 1.0, "assertion");
+    EXPECT_DEATH((void)cv[3], "assertion");
+#endif
+}
+
 TEST(Cholesky, FactorsKnownMatrix)
 {
     // A = [[4, 2], [2, 3]] -> L = [[2, 0], [1, sqrt(2)]].

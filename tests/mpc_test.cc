@@ -7,7 +7,9 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "mpc/problem.hh"
 #include "mpc/riccati.hh"
 #include "mpc/simulate.hh"
+#include "robots/robots.hh"
 
 namespace robox::mpc
 {
@@ -130,6 +133,103 @@ TEST(Problem, EulerDynamicsJacobians)
     EXPECT_NEAR(eval.jx(1, 1), 1.0, 1e-14);
     EXPECT_NEAR(eval.ju(1, 0), 0.1, 1e-14);
     EXPECT_NEAR(eval.ju(0, 0), 0.0, 1e-14);
+}
+
+/** Expect got to hold exactly want's bits, row by row. */
+void
+expectSameBits(const Vector &got, const Vector &want, const char *what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(std::memcmp(got.data() + i, want.data() + i,
+                              sizeof(double)),
+                  0)
+            << what << " row " << i;
+}
+
+class ValuePrefix : public ::testing::TestWithParam<std::string>
+{
+};
+
+// The value-only evaluators run only the value rows' prefix of each
+// stage tape. At seeded points they must return exactly the value rows
+// of the full [value | Jx | Ju] evaluation, and objective() exactly the
+// weighted sum of the full evaluations' residuals.
+TEST_P(ValuePrefix, ValueEvaluatorsMatchFullTapesBitwise)
+{
+    const robots::Benchmark &b = robots::benchmark(GetParam());
+    const dsl::ModelSpec model = robots::analyzeBenchmark(b);
+    MpcOptions opt = b.options;
+    opt.horizon = 6;
+    const MpcProblem prob(model, opt);
+    const int n = opt.horizon;
+
+    std::mt19937 rng(29);
+    std::normal_distribution<double> noise(0.0, 0.2);
+    auto near = [&](const Vector &v) {
+        Vector out(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out[i] = v[i] + noise(rng);
+        return out;
+    };
+    std::vector<Vector> xs, us, refs;
+    for (int k = 0; k <= n; ++k) {
+        xs.push_back(near(b.initialState));
+        refs.push_back(near(b.reference));
+    }
+    for (int k = 0; k < n; ++k) {
+        Vector u(static_cast<std::size_t>(prob.nu()));
+        for (int i = 0; i < prob.nu(); ++i) {
+            const double lo = model.inputLower[i];
+            const double hi = model.inputUpper[i];
+            const double mid = lo != -dsl::kUnbounded &&
+                                       hi != dsl::kUnbounded
+                                   ? 0.5 * (lo + hi)
+                                   : 0.0;
+            u[i] = mid + noise(rng);
+        }
+        us.push_back(u);
+    }
+
+    StageEval full;
+    Vector value;
+    double want = 0.0;
+    for (int k = 0; k < n; ++k) {
+        prob.evalDynamics(xs[k], us[k], refs[k], full);
+        prob.dynamicsValueInto(xs[k], us[k], refs[k], value);
+        expectSameBits(value, full.value, "dynamics");
+        prob.evalRunningIneq(xs[k], us[k], refs[k], full);
+        prob.runningIneqValueInto(xs[k], us[k], refs[k], value);
+        expectSameBits(value, full.value, "running ineq");
+        prob.evalRunningCost(xs[k], us[k], refs[k], full);
+        for (int i = 0; i < prob.numRunningResiduals(); ++i)
+            want += prob.runningWeights()[i] * full.value[i] *
+                    full.value[i];
+    }
+    prob.evalTerminalIneq(xs[n], refs[n], full);
+    prob.terminalIneqValueInto(xs[n], refs[n], value);
+    expectSameBits(value, full.value, "terminal ineq");
+    prob.evalTerminalCost(xs[n], refs[n], full);
+    for (int i = 0; i < prob.numTerminalResiduals(); ++i)
+        want += prob.terminalWeights()[i] * full.value[i] * full.value[i];
+    const double got = prob.objective(xs, us, refs);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << got << " vs " << want;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3, ValuePrefix,
+                         ::testing::Values("MobileRobot", "Manipulator",
+                                           "AutoVehicle", "MicroSat",
+                                           "Quadrotor", "Hexacopter"));
+
+// MobileRobot has neither terminal penalties nor state bounds, so the
+// test above also runs both terminal tapes with zero value rows.
+TEST(ValuePrefixCoverage, MobileRobotHasZeroRowTerminalTapes)
+{
+    const robots::Benchmark &b = robots::benchmark("MobileRobot");
+    const MpcProblem prob(robots::analyzeBenchmark(b), b.options);
+    EXPECT_EQ(prob.numTerminalResiduals(), 0);
+    EXPECT_EQ(prob.numTerminalIneq(), 0);
 }
 
 TEST(Problem, Rk4MatchesNumericalIntegration)

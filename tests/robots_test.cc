@@ -13,6 +13,7 @@
 #include "mpc/ipm.hh"
 #include "mpc/simulate.hh"
 #include "robots/robots.hh"
+#include "support/alloc_hook.hh"
 #include "support/logging.hh"
 
 namespace robox::robots
@@ -96,6 +97,28 @@ TEST_P(BenchmarkModel, SolverConvergesFromColdStart)
             EXPECT_GE(u[i], model.inputLower[i] - 1e-6);
             EXPECT_LE(u[i], model.inputUpper[i] + 1e-6);
         }
+    }
+}
+
+// The solver sizes everything a solve touches at construction, so
+// neither its first solve nor the cold start after reset() allocates.
+TEST_P(BenchmarkModel, FirstSolvesAreAllocationFree)
+{
+    if (!support::allocCountingActive())
+        GTEST_SKIP() << "allocation counting hook not linked";
+    const Benchmark &b = bench();
+    dsl::ModelSpec model = analyzeBenchmark(b);
+    mpc::MpcOptions opt = b.options;
+    opt.horizon = 32;
+    mpc::IpmSolver solver(model, opt);
+    for (const char *when : {"first solve", "first solve after reset()"}) {
+        const std::uint64_t before = support::allocCount();
+        solver.solve(b.initialState, b.reference);
+        EXPECT_EQ(support::allocCount() - before, 0u) << when;
+        EXPECT_EQ(solver.lastStats().heapAllocations, 0u) << when;
+        EXPECT_TRUE(mpc::statusUsable(solver.lastStats().status)) << when;
+        EXPECT_GT(solver.lastStats().iterations, 0) << when;
+        solver.reset();
     }
 }
 

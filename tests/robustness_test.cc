@@ -349,6 +349,20 @@ TEST(FaultInjection, InfStateAndNanReferenceAreBadInput)
     EXPECT_EQ(nan_ref.status, SolveStatus::BadInput);
 }
 
+TEST(FaultInjection, MisSizedReferenceIsBadInput)
+{
+    dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);
+    IpmSolver solver(model, integratorOptions());
+    ASSERT_EQ(solver.solve(Vector{0.0, 0.0}, Vector{1.0}).status,
+              SolveStatus::Converged);
+    EXPECT_EQ(solver.solve(Vector{0.01, 0.0}, Vector()).status,
+              SolveStatus::BadInput);
+    EXPECT_EQ(solver.solve(Vector{0.01, 0.0}, Vector{1.0, 2.0}).status,
+              SolveStatus::BadInput);
+    EXPECT_EQ(solver.solve(Vector{0.01, 0.0}, Vector{1.0}).status,
+              SolveStatus::Converged);
+}
+
 TEST(FaultInjection, BadInputPathIsAllocationFreeWhenWarm)
 {
     if (!support::allocCountingActive())

@@ -471,6 +471,78 @@ sys.go();
     EXPECT_GE(stats.coldRestarts, 1);
 }
 
+/** A two-state integrator whose task holds `row`, a penalty or
+ *  constraint line built on sqrt(x): at x = 0 its residual is finite
+ *  while its x derivative 0.5 / sqrt(x) is infinite. */
+std::string
+sqrtIntegrator(const std::string &row)
+{
+    return R"(
+System S() {
+  state x, v;
+  input u;
+  x.dt = v;
+  v.dt = u;
+  u.lower_bound <= -1;
+  u.upper_bound <= 1;
+  Task go() {
+    penalty effort;
+    effort.running = u;
+    effort.weight <= 0.1;
+)" + row + R"(
+  }
+}
+S sys();
+sys.go();
+)";
+}
+
+TEST(FaultInjection, InfiniteJacobianEntryOutcomesArePinned)
+{
+    // The stage assembly multiplies through each Jacobian row; an
+    // infinite entry beside structural zeros is where skipping those
+    // zeros could change the arithmetic. The outcome of each solve is
+    // pinned: status, iterations, recoveries and the bits of u0.
+    struct Case
+    {
+        const char *row;
+        double x0;
+        SolveStatus status;
+        int iterations;
+        int recoveries;
+        std::uint64_t u0_bits;
+    };
+    const char *kPenalty = "penalty p;\n    p.running = sqrt(x) + 1;";
+    const char *kConstraint = "constraint c;\n    c.running = sqrt(x) + v;\n"
+                              "    c.upper_bound <= 2;";
+    const Case cases[] = {
+        {kPenalty, 0.0, SolveStatus::NumericFailure, 2, 2, 0},
+        {kPenalty, 1.0, SolveStatus::Converged, 13, 0,
+         0xbfeffffffec84ae8ull},
+        {kConstraint, 0.0, SolveStatus::NumericFailure, 2, 2, 0},
+        {kConstraint, 1.0, SolveStatus::Converged, 11, 0,
+         0xbe705dbcb4584938ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.row) + " from x = " +
+                     std::to_string(c.x0));
+        dsl::ModelSpec model = dsl::analyzeSource(sqrtIntegrator(c.row));
+        MpcOptions opt;
+        opt.horizon = 10;
+        opt.dt = 0.1;
+        IpmSolver solver(model, opt);
+        const IpmSolver::Result &result =
+            solver.solve(Vector{c.x0, 0.0}, Vector(0));
+        const double u0 = result.u0[0];
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &u0, sizeof bits);
+        EXPECT_EQ(result.status, c.status) << toString(result.status);
+        EXPECT_EQ(result.iterations, c.iterations);
+        EXPECT_EQ(solver.lastStats().recoveryAttempts, c.recoveries);
+        EXPECT_EQ(bits, c.u0_bits) << u0;
+    }
+}
+
 TEST(FaultInjection, ZeroDeadlineReturnsImmediately)
 {
     dsl::ModelSpec model = dsl::analyzeSource(kDoubleIntegrator);

@@ -29,7 +29,10 @@ Controller::recordFlight(const Vector &x,
 {
     if (!recorder_.enabled())
         return;
-    mpc::FlightRecord rec;
+    // Filled in place: once this record and the ring slots hold
+    // state- and command-sized buffers, copy-assigning into them
+    // reuses those buffers and recording allocates nothing.
+    mpc::FlightRecord &rec = flight_;
     rec.period = periods_ - 1; // periods_ was bumped by step().
     rec.robot = -1;
     rec.status = result.status;

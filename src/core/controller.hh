@@ -224,6 +224,7 @@ class Controller
     mpc::SolveStatus last_status_ = mpc::SolveStatus::Unsolved;
     mpc::IpmSolver::Result result_; //!< What step() last returned.
     mpc::FlightRecorder recorder_;
+    mpc::FlightRecord flight_; //!< Reused record storage for recordFlight.
     std::uint64_t periods_ = 0; //!< step() invocations so far.
 };
 

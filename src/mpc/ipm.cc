@@ -74,6 +74,18 @@ positionOf(const std::vector<int> &rows, int id)
     return -1;
 }
 
+/** Row i of m times v over the row's nonzero columns. Each skipped
+ *  product is an exact zero, so the sum keeps its bits. */
+double
+rowDot(const Matrix &m, std::size_t i, const std::vector<int> &cols,
+       const Vector &v)
+{
+    double acc = 0.0;
+    for (int j : cols)
+        acc += m(i, j) * v[j];
+    return acc;
+}
+
 /** True when every entry of v is finite. */
 bool
 allFinite(const Vector &v)
@@ -161,25 +173,22 @@ IpmSolver::IpmSolver(const dsl::ModelSpec &model, const MpcOptions &options)
     ws_.rv0.assign(static_cast<std::size_t>(n_stages), Vector(nu));
     ws_.rv0.emplace_back();
 
-    // Stage evaluations are unpacked in place; each holds the larger
-    // of the running and terminal shapes it serves, so reshaping
-    // between them never grows a buffer.
-    auto shape = [&](StageEval &e, int run_rows, int term_rows) {
-        const auto rows = static_cast<std::size_t>(std::max(run_rows,
-                                                            term_rows));
-        e.value.resize(rows);
-        e.jx.resize(rows, nx);
-        e.ju.resize(static_cast<std::size_t>(run_rows), nu);
+    // Each stage evaluation is shaped for the one tape it serves, so
+    // its first evaluation fills it without growing a buffer.
+    auto shape = [&](StageEval &e, int rows, std::size_t cols_u) {
+        e.value.resize(static_cast<std::size_t>(rows));
+        e.jx.resize(static_cast<std::size_t>(rows), nx);
+        e.ju.resize(static_cast<std::size_t>(rows), cols_u);
     };
     ws_.dyn.resize(static_cast<std::size_t>(n_stages));
     for (StageEval &e : ws_.dyn)
-        shape(e, problem_.nx(), 0);
-    shape(ws_.costEval, problem_.numRunningResiduals(),
-          problem_.numTerminalResiduals());
-    shape(ws_.ineqEval, problem_.numRunningIneq(),
-          problem_.numTerminalIneq());
-    ws_.meritH.resize(ws_.ineqEval.value.size());
-    ws_.hdz.resize(ws_.ineqEval.value.size());
+        shape(e, problem_.nx(), nu);
+    shape(ws_.runCost, problem_.numRunningResiduals(), nu);
+    shape(ws_.termCost, problem_.numTerminalResiduals(), 0);
+    shape(ws_.runIneq, problem_.numRunningIneq(), nu);
+    shape(ws_.termIneq, problem_.numTerminalIneq(), 0);
+    ws_.meritH.resize(static_cast<std::size_t>(std::max(
+        problem_.numRunningIneq(), problem_.numTerminalIneq())));
     ws_.dx0.resize(nx);
     ws_.meritDyn.resize(nx);
     ws_.refsScratch.assign(static_cast<std::size_t>(n_stages) + 1,
@@ -236,23 +245,31 @@ IpmSolver::initializeTrajectory(const Vector &x0,
         problem_.dynamicsValueInto(xs_[k], us_[k], refs[k], xs_[k + 1]);
 }
 
+const JacobianPattern &
+IpmSolver::ineqPattern(int k) const
+{
+    return k == problem_.horizon() ? problem_.terminalIneqPattern()
+                                   : problem_.runningIneqPattern();
+}
+
 void
 IpmSolver::evaluateIneq(int k, const std::vector<Vector> &refs)
 {
-    StageEval &eval = ws_.ineqEval;
-    if (k == problem_.horizon())
+    const bool terminal = k == problem_.horizon();
+    StageEval &eval = terminal ? ws_.termIneq : ws_.runIneq;
+    if (terminal)
         problem_.evalTerminalIneq(xs_[k], refs[k], eval);
     else
         problem_.evalRunningIneq(xs_[k], us_[k], refs[k], eval);
     // The block's h, hx and hu are shaped at construction.
     IneqBlock &blk = ineq_[k];
-    const std::size_t rows = blk.rows.size();
-    for (std::size_t i = 0; i < rows; ++i) {
+    const JacobianPattern &pattern = ineqPattern(k);
+    for (std::size_t i = 0; i < blk.rows.size(); ++i) {
         int src = blk.rows[i];
         blk.h[i] = eval.value[src];
-        for (std::size_t j = 0; j < eval.jx.cols(); ++j)
+        for (int j : pattern.x[src])
             blk.hx(i, j) = eval.jx(src, j);
-        for (std::size_t j = 0; j < eval.ju.cols(); ++j)
+        for (int j : pattern.u[src])
             blk.hu(i, j) = eval.ju(src, j);
     }
 }
@@ -335,32 +352,48 @@ IpmSolver::assembleStage(int k, const std::vector<Vector> &refs)
     qv0.fill(0.0);
     rv0.fill(0.0);
 
+    // Both loops below visit only each Jacobian row's nonzero columns
+    // (b <= a, ascending, for the lower triangles). Every skipped
+    // product is an exact +-0 added to an accumulator that starts at
+    // +0 and so never holds -0: the sums keep their bits.
     const std::vector<double> &w = terminal ? problem_.terminalWeights()
                                             : problem_.runningWeights();
     if (!w.empty()) {
-        StageEval &cost = ws_.costEval;
+        StageEval &cost = terminal ? ws_.termCost : ws_.runCost;
         if (terminal)
             problem_.evalTerminalCost(xs_[k], refs[k], cost);
         else
             problem_.evalRunningCost(xs_[k], us_[k], refs[k], cost);
+        const JacobianPattern &pattern =
+            terminal ? problem_.terminalCostPattern()
+                     : problem_.runningCostPattern();
         // Gauss-Newton: H += 2 J^T W J, g += 2 J^T W r.
         for (std::size_t i = 0; i < w.size(); ++i) {
             double wi = 2.0 * w[i];
             double ri = cost.value[i];
-            for (int a = 0; a < nx; ++a) {
+            ws_.objective += w[i] * ri * ri;
+            const std::vector<int> &cx = pattern.x[i];
+            const std::vector<int> &cu = pattern.u[i];
+            for (int a : cx) {
                 double ja = cost.jx(i, a);
                 if (ja == 0.0 && ri == 0.0)
                     continue;
                 qv0[a] += wi * ja * ri;
-                for (int b = 0; b <= a; ++b)
+                for (int b : cx) {
+                    if (b > a)
+                        break;
                     st.q(a, b) += wi * ja * cost.jx(i, b);
+                }
             }
-            for (int a = 0; a < nu; ++a) {
+            for (int a : cu) {
                 double ja = cost.ju(i, a);
                 rv0[a] += wi * ja * ri;
-                for (int b = 0; b <= a; ++b)
+                for (int b : cu) {
+                    if (b > a)
+                        break;
                     st.r(a, b) += wi * ja * cost.ju(i, b);
-                for (int b = 0; b < nx; ++b)
+                }
+                for (int b : cx)
                     st.s(a, b) += wi * ja * cost.jx(i, b);
             }
         }
@@ -370,23 +403,32 @@ IpmSolver::assembleStage(int k, const std::vector<Vector> &refs)
     IneqBlock &blk = ineq_[k];
     if (!blk.rows.empty()) {
         evaluateIneq(k, refs);
+        const JacobianPattern &pattern = ineqPattern(k);
         for (std::size_t i = 0; i < blk.rows.size(); ++i) {
             double sigma = cappedSigma(blk.lam[i], blk.s[i]);
-            for (int a = 0; a < nx; ++a) {
+            const std::vector<int> &cx = pattern.x[blk.rows[i]];
+            const std::vector<int> &cu = pattern.u[blk.rows[i]];
+            for (int a : cx) {
                 double ha = blk.hx(i, a);
-                if (ha != 0.0) {
-                    for (int b = 0; b <= a; ++b)
-                        st.q(a, b) += sigma * ha * blk.hx(i, b);
+                if (ha == 0.0)
+                    continue;
+                for (int b : cx) {
+                    if (b > a)
+                        break;
+                    st.q(a, b) += sigma * ha * blk.hx(i, b);
                 }
             }
-            for (int a = 0; a < nu; ++a) {
+            for (int a : cu) {
                 double ha = blk.hu(i, a);
-                if (ha != 0.0) {
-                    for (int b = 0; b <= a; ++b)
-                        st.r(a, b) += sigma * ha * blk.hu(i, b);
-                    for (int b = 0; b < nx; ++b)
-                        st.s(a, b) += sigma * ha * blk.hx(i, b);
+                if (ha == 0.0)
+                    continue;
+                for (int b : cu) {
+                    if (b > a)
+                        break;
+                    st.r(a, b) += sigma * ha * blk.hu(i, b);
                 }
+                for (int b : cx)
+                    st.s(a, b) += sigma * ha * blk.hx(i, b);
             }
         }
     }
@@ -406,16 +448,22 @@ IpmSolver::meritFunction(const std::vector<Vector> &xs,
                          const std::vector<Vector> &slacks,
                          const Vector &x0,
                          const std::vector<Vector> &refs, double mu,
-                         double rho)
+                         double rho, bool from_stages)
 {
     const int n_stages = problem_.horizon();
-    double merit = problem_.objective(xs, us, refs);
-    ++stats_.lineSearchEvals;
+    double merit =
+        from_stages ? ws_.objective : problem_.objective(xs, us, refs);
 
     double infeas = 0.0;
     for (std::size_t i = 0; i < x0.size(); ++i)
         infeas += std::abs(xs[0][i] - x0[i]);
     for (int k = 0; k < n_stages; ++k) {
+        if (from_stages) {
+            const Vector &defect = ws_.stages[k].c;
+            for (std::size_t i = 0; i < defect.size(); ++i)
+                infeas += std::abs(defect[i]);
+            continue;
+        }
         problem_.dynamicsValueInto(xs[k], us[k], refs[k], ws_.meritDyn);
         for (std::size_t i = 0; i < ws_.meritDyn.size(); ++i)
             infeas += std::abs(ws_.meritDyn[i] - xs[k + 1][i]);
@@ -423,13 +471,15 @@ IpmSolver::meritFunction(const std::vector<Vector> &xs,
     for (int k = 0; k <= n_stages; ++k) {
         const IneqBlock &blk = ineq_[k];
         const Vector &s = slacks[k];
-        if (k == n_stages)
+        // From the stages, blk.h holds the block's rows at (xs, us).
+        if (!from_stages && k == n_stages)
             problem_.terminalIneqValueInto(xs[k], refs[k], ws_.meritH);
-        else
+        else if (!from_stages)
             problem_.runningIneqValueInto(xs[k], us[k], refs[k],
                                           ws_.meritH);
         for (std::size_t i = 0; i < blk.rows.size(); ++i) {
-            infeas += std::abs(ws_.meritH[blk.rows[i]] + s[i]);
+            double h = from_stages ? blk.h[i] : ws_.meritH[blk.rows[i]];
+            infeas += std::abs(h + s[i]);
             if (s[i] <= 0.0)
                 return std::numeric_limits<double>::infinity();
             merit -= mu * std::log(s[i]);
@@ -560,12 +610,12 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
             st.qv.copyFrom(ws_.qv0[k]);
             st.rv.copyFrom(ws_.rv0[k]);
             const IneqBlock &blk = ineq_[k];
-            const std::size_t nu_k = st.rv.size();
+            const JacobianPattern &pattern = ineqPattern(k);
             for (std::size_t i = 0; i < blk.rows.size(); ++i) {
                 double y = yblk[k][i];
-                for (int a = 0; a < nx; ++a)
+                for (int a : pattern.x[blk.rows[i]])
                     st.qv[a] += blk.hx(i, a) * y;
-                for (std::size_t a = 0; a < nu_k; ++a)
+                for (int a : pattern.u[blk.rows[i]])
                     st.rv[a] += blk.hu(i, a) * y;
             }
         }
@@ -665,18 +715,16 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         const double tau = kFractionToBoundary;
         for (int k = 0; k <= n_stages; ++k) {
             IneqBlock &blk = ineq_[k];
-            std::size_t rows = blk.rows.size();
-            if (rows == 0)
-                continue;
-            Vector &hdz = ws_.hdz;
-            multiplyInto(blk.hx, sol.dx[k], hdz);
-            if (k < n_stages)
-                multiplyAddInto(blk.hu, sol.du[k], hdz);
-            for (std::size_t i = 0; i < rows; ++i) {
+            const JacobianPattern &pattern = ineqPattern(k);
+            for (std::size_t i = 0; i < blk.rows.size(); ++i) {
+                // h_x dx + h_u du over the row's nonzero columns.
+                const int row = blk.rows[i];
+                double hdz = rowDot(blk.hx, i, pattern.x[row], sol.dx[k]);
+                if (k < n_stages)
+                    hdz += rowDot(blk.hu, i, pattern.u[row], sol.du[k]);
                 double sigma = cappedSigma(blk.lam[i], blk.s[i]);
-                blk.ds[i] = -(blk.h[i] + blk.s[i]) - hdz[i];
-                blk.dlam[i] =
-                    sigma * hdz[i] + (yblk[k][i] - blk.lam[i]);
+                blk.ds[i] = -(blk.h[i] + blk.s[i]) - hdz;
+                blk.dlam[i] = sigma * hdz + (yblk[k][i] - blk.lam[i]);
                 if (blk.ds[i] < 0.0)
                     alpha = std::min(alpha, -tau * blk.s[i] / blk.ds[i]);
                 if (blk.dlam[i] < 0.0)
@@ -701,6 +749,7 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         // Evaluate stage data and build the Newton/LQR subproblem.
         // --------------------------------------------------------
         double eq_residual = 0.0;
+        ws_.objective = 0.0;
         for (int k = 0; k < n_stages; ++k) {
             problem_.evalDynamics(xs_[k], us_[k], refs[k], dyn[k]);
             StageQp &st = stages[k];
@@ -822,8 +871,12 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
         double rho = 10.0 * (1.0 + max_lam);
         for (int k = 0; k <= n_stages; ++k)
             ws_.trialS[k].copyFrom(ineq_[k].s);
-        double merit0 =
-            meritFunction(xs_, us_, ws_.trialS, x0, refs, mu, rho);
+        // The double path takes the starting merit from this
+        // iteration's assembly; the fixed-point path evaluates it, so
+        // its tape-evaluation count (the fault engine's cycle
+        // coordinate) stays what the fault campaign pins.
+        double merit0 = meritFunction(xs_, us_, ws_.trialS, x0, refs, mu,
+                                      rho, !opt.fixedPointTapes);
 
         double used_alpha = alpha;
         bool accepted = false;
@@ -842,8 +895,10 @@ IpmSolver::solve(const Vector &x0, const std::vector<Vector> &refs)
             for (int k = 0; k < n_stages; ++k)
                 addScaledInto(us_[k], sol.du[k], used_alpha,
                               ws_.trialUs[k]);
+            ++stats_.lineSearchEvals;
             double merit = meritFunction(ws_.trialXs, ws_.trialUs,
-                                         ws_.trialS, x0, refs, mu, rho);
+                                         ws_.trialS, x0, refs, mu, rho,
+                                         false);
             if (merit <= merit0 + 1e-9 * std::abs(merit0) + 1e-12) {
                 accepted = true;
                 break;

@@ -45,6 +45,8 @@ struct SolveStats
     double eqResidual = 0.0;    //!< Final inf-norm of dynamics residual.
     double compAverage = 0.0;   //!< Final average complementarity.
     std::uint64_t riccatiFlops = 0; //!< KKT-backend flops this solve.
+    /** Line-search trial points evaluated; the starting merit is not
+     *  a trial point and is not counted. */
     int lineSearchEvals = 0;
     double solveSeconds = 0.0;  //!< Wall time of the last solve() call.
     /** Heap allocations made by the solving thread during the last
@@ -203,8 +205,11 @@ class IpmSolver
     {
         std::vector<int> rows; //!< Active row indices into the tape rows.
         Vector h;              //!< Current h values (selected rows).
-        Matrix hx;             //!< Jacobian w.r.t. x.
-        Matrix hu;             //!< Jacobian w.r.t. u (running only).
+        /** Jacobians w.r.t. x and u (u: running only). Only the
+         *  columns in ineqPattern() are written; the rest stay 0 from
+         *  construction and are never read. */
+        Matrix hx;
+        Matrix hu;
         Vector s;              //!< Slacks.
         Vector lam;            //!< Duals.
         Vector ds;             //!< Slack step.
@@ -223,15 +228,22 @@ class IpmSolver
         /** Terminal stage: Hessian q and gradient qv (cost plus
          *  barrier); its input blocks r, s, rv are empty. */
         StageQp terminal;
+        /** Stage evaluations, one per tape they serve, so each keeps
+         *  its tape's constants and is rewritten only where the tape
+         *  computes (StageEval::tapeSerial). */
         std::vector<StageEval> dyn;   //!< N dynamics evaluations.
-        StageEval costEval;
-        StageEval ineqEval;
+        StageEval runCost;
+        StageEval termCost;
+        StageEval runIneq;
+        StageEval termIneq;
+        /** Objective at the iterate, summed by assembleStage in
+         *  MpcProblem::objective()'s order. */
+        double objective = 0.0;
         std::vector<Vector> qv0;      //!< N+1 cost-only x gradients.
         /** N+1 cost-only u gradients; the terminal one is empty. */
         std::vector<Vector> rv0;
         std::vector<Vector> yblk;     //!< Barrier target per block.
         Vector dx0;                   //!< x0 - xs[0].
-        Vector hdz;                   //!< Constraint-row step scratch.
         std::vector<Vector> trialXs;  //!< Line-search trial states.
         std::vector<Vector> trialUs;  //!< Line-search trial inputs.
         std::vector<Vector> trialS;   //!< Line-search trial slacks.
@@ -250,25 +262,37 @@ class IpmSolver
      *  solve's values by one stage (using the row maps precomputed in
      *  the constructor) and return a matching barrier. */
     double initializeSlacks(const std::vector<Vector> &refs);
+    /** Nonzero Jacobian columns of block k's inequality tape rows
+     *  (the terminal tape's at k == N), indexed by IneqBlock::rows. */
+    const JacobianPattern &ineqPattern(int k) const;
     /** Evaluate stage k's inequality tape (the terminal one at k == N)
      *  and select its block's rows into h, hx and hu. */
     void evaluateIneq(int k, const std::vector<Vector> &refs);
     /**
      * Fill stage k's Hessian blocks and cost-only gradients (qv0, rv0)
      * from its Gauss-Newton cost terms and the barrier curvature of
-     * its inequality rows, then mirror the lower triangles. The
+     * its inequality rows, then mirror the lower triangles; add its
+     * cost to ws_.objective. Both loops run over each Jacobian row's
+     * nonzero columns only (MpcProblem's JacobianPatterns). The
      * terminal stage (k == N) runs the same code with an empty input
      * block.
      */
     void assembleStage(int k, const std::vector<Vector> &refs);
     /** Average s_i lam_i over every inequality row (0 without rows). */
     double averageComplementarity() const;
+    /**
+     * The l1 merit of (xs, us, slacks). With from_stages, (xs, us) is
+     * the iterate this iteration assembled, and the objective, the
+     * dynamics defects and the inequality values come from that
+     * assembly (ws_.objective, StageQp::c, IneqBlock::h) instead of
+     * fresh tape evaluations; the values are the same bits.
+     */
     double meritFunction(const std::vector<Vector> &xs,
                          const std::vector<Vector> &us,
                          const std::vector<Vector> &slacks,
                          const Vector &x0,
                          const std::vector<Vector> &refs, double mu,
-                         double rho);
+                         double rho, bool from_stages);
 
     MpcProblem problem_;
     bool warm_ = false;

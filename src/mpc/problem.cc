@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "support/logging.hh"
 
@@ -64,6 +65,29 @@ stageTape(const std::vector<sym::Expr> &rows, int nx, int nu, int total)
         for (int j = 0; j < nu; ++j)
             outputs.push_back(r.diff(nx + j));
     return sym::Tape(outputs, total);
+}
+
+/** The nonzero Jacobian columns of a stage tape laid out as above:
+ *  every output except those preloading the constant 0. */
+JacobianPattern
+jacobianPattern(const sym::Tape &tape, int rows, int nx, int nu)
+{
+    std::vector<bool> zero(static_cast<std::size_t>(tape.numSlots()));
+    for (const sym::Tape::Preload &p : tape.preloads())
+        zero[p.slot] = p.value == 0.0;
+    const std::vector<int> &slot = tape.outputSlots();
+    JacobianPattern pattern;
+    pattern.x.resize(static_cast<std::size_t>(rows));
+    pattern.u.resize(static_cast<std::size_t>(rows));
+    for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < nx; ++j)
+            if (!zero[slot[rows + i * nx + j]])
+                pattern.x[i].push_back(j);
+        for (int j = 0; j < nu; ++j)
+            if (!zero[slot[rows + rows * nx + i * nu + j]])
+                pattern.u[i].push_back(j);
+    }
+    return pattern;
 }
 
 } // namespace
@@ -154,6 +178,10 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
 
     run_cost_tape_ = stageTape(run_res, nx_, nu_, total);
     term_cost_tape_ = stageTape(term_res, nx_, 0, total);
+    run_cost_pattern_ = jacobianPattern(run_cost_tape_,
+                                        numRunningResiduals(), nx_, nu_);
+    term_cost_pattern_ = jacobianPattern(term_cost_tape_,
+                                         numTerminalResiduals(), nx_, 0);
 
     // ------------------------------------------------------------
     // Inequality rows h <= 0: box bounds plus task constraints.
@@ -215,6 +243,10 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
 
     run_ineq_tape_ = stageTape(run_rows, nx_, nu_, total);
     term_ineq_tape_ = stageTape(term_rows, nx_, 0, total);
+    run_ineq_pattern_ = jacobianPattern(run_ineq_tape_, num_run_ineq_, nx_,
+                                        nu_);
+    term_ineq_pattern_ = jacobianPattern(term_ineq_tape_, num_term_ineq_,
+                                         nx_, 0);
 
     // Size the evaluation scratch for the largest tape, so no solve
     // (the first included) grows it.
@@ -226,24 +258,21 @@ MpcProblem::MpcProblem(const dsl::ModelSpec &model,
         slots = std::max(slots, static_cast<std::size_t>(t->numSlots()));
         outputs = std::max(outputs, t->outputSlots().size());
     }
-    env_.resize(static_cast<std::size_t>(total));
-    tape_work_.reserve(slots);
-    tape_out_.reserve(outputs);
+    tape_work_.resize(slots);
     if (options_.fixedPointTapes) {
-        fixed_env_.resize(env_.size());
+        fixed_env_.resize(static_cast<std::size_t>(total));
         fixed_work_.reserve(slots);
         fixed_out_.reserve(outputs);
-        if (options_.crossCheckFixedPoint) {
+        if (options_.crossCheckFixedPoint)
             golden_work_.reserve(slots);
-            golden_out_.reserve(outputs);
-        }
         if (options_.accelSelfCheck)
-            parity_scratch_.reserve(env_.size());
+            parity_scratch_.reserve(fixed_env_.size());
     }
 }
 
 void
-MpcProblem::pack(const Vector &x, const Vector *u, const Vector &ref) const
+MpcProblem::runTape(const sym::Tape &tape, const Vector &x, const Vector *u,
+                    const Vector &ref, std::size_t outputs) const
 {
     // Shape validation happens once per solve at the IpmSolver::solve
     // entry (SolveStatus::BadInput); these per-stage hot-path checks
@@ -253,25 +282,25 @@ MpcProblem::pack(const Vector &x, const Vector *u, const Vector &ref) const
     robox_assert_dbg(!u || static_cast<int>(u->size()) == nu_);
     robox_assert_dbg(static_cast<int>(ref.size()) == nref_);
     for (int i = 0; i < nx_; ++i)
-        env_[i] = x[i];
+        tape_work_[i] = x[i];
     for (int i = 0; i < nu_; ++i)
-        env_[nx_ + i] = u ? (*u)[i] : 0.0;
+        tape_work_[nx_ + i] = u ? (*u)[i] : 0.0;
     for (int i = 0; i < nref_; ++i)
-        env_[nx_ + nu_ + i] = ref[i];
+        tape_work_[nx_ + nu_ + i] = ref[i];
+    if (options_.fixedPointTapes)
+        runFixed(tape);
+    else
+        tape.evalInPlace(tape_work_, outputs);
 }
 
-const std::vector<double> &
-MpcProblem::runTape(const sym::Tape &tape, std::size_t outputs) const
+void
+MpcProblem::runFixed(const sym::Tape &tape) const
 {
-    if (!options_.fixedPointTapes) {
-        tape.evalInto(env_, tape_work_, tape_out_, outputs);
-        return tape_out_;
-    }
     // Accelerator datapath: quantize inputs, evaluate with saturating
     // Q14.17 arithmetic and LUT nonlinears, and dequantize the results.
 
     // One evaluation attempt: quantize afresh from the (uncorrupted)
-    // host-side environment, run the fault hook at the current cycle
+    // host-side inputs, run the fault hook at the current cycle
     // coordinate, and — under self-checking execution — verify the
     // parity bit each quantized word carried from host write time.
     // Returns the number of parity detections; the cycle coordinate
@@ -279,8 +308,8 @@ MpcProblem::runTape(const sym::Tape &tape, std::size_t outputs) const
     // fault hash exactly like a transient SEU clearing.
     auto attempt = [&]() -> std::uint64_t {
         const std::uint64_t cycle = tape_eval_counter_++;
-        for (std::size_t i = 0; i < env_.size(); ++i)
-            fixed_env_[i] = Fixed::fromDouble(env_[i]);
+        for (std::size_t i = 0; i < fixed_env_.size(); ++i)
+            fixed_env_[i] = Fixed::fromDouble(tape_work_[i]);
         if (!fault_hook_)
             return 0;
         if (!options_.accelSelfCheck) {
@@ -305,6 +334,7 @@ MpcProblem::runTape(const sym::Tape &tape, std::size_t outputs) const
         return errors;
     };
 
+    const std::size_t all = tape.outputSlots().size();
     std::uint64_t errors = attempt();
     if (errors > 0) {
         // Rung 1: re-execute; the upset was transient unless the hash
@@ -328,84 +358,97 @@ MpcProblem::runTape(const sym::Tape &tape, std::size_t outputs) const
             ++numeric_health_.selfCheck.cpuFallbacks;
             accel_fault_ = true;
             ++numeric_health_.tapeEvals;
-            tape.evalInto(env_, tape_work_, tape_out_);
-            return tape_out_;
+            tape.evalInPlace(tape_work_, all);
+            return;
         }
     }
 
     for (const Fixed &v : fixed_env_)
         numeric_health_.trackValue(v.toDouble());
     tape.evalFixedInto(fixed_env_, *fixed_math_, fixed_work_, fixed_out_);
-    tape_out_.resize(fixed_out_.size());
-    for (std::size_t i = 0; i < fixed_out_.size(); ++i) {
-        tape_out_[i] = fixed_out_[i].toDouble();
-        numeric_health_.trackValue(tape_out_[i]);
-    }
+    for (const Fixed &v : fixed_out_)
+        numeric_health_.trackValue(v.toDouble());
     ++numeric_health_.tapeEvals;
 
+    const std::vector<int> &slot = tape.outputSlots();
     if (options_.crossCheckFixedPoint) {
         // Golden model: the same tape in double precision over the
-        // unquantized environment. Divergence past the warn band is
+        // unquantized inputs. Divergence past the warn band is
         // suspicious; past the fail band (absolute AND relative) the
         // fixed-point result is unusable and the solve will be marked
         // NumericDegraded.
-        tape.evalInto(env_, golden_work_, golden_out_);
-        for (std::size_t i = 0; i < golden_out_.size(); ++i) {
-            double err = std::abs(tape_out_[i] - golden_out_[i]);
+        golden_work_.resize(static_cast<std::size_t>(tape.numSlots()));
+        std::copy_n(tape_work_.begin(), fixed_env_.size(),
+                    golden_work_.begin());
+        tape.evalInPlace(golden_work_, all);
+        for (std::size_t i = 0; i < all; ++i) {
+            const double golden = golden_work_[slot[i]];
+            double err = std::abs(fixed_out_[i].toDouble() - golden);
             ++numeric_health_.crossChecks;
             if (err > numeric_health_.maxAbsError)
                 numeric_health_.maxAbsError = err;
             if (err > kCrossCheckWarnAbs)
                 ++numeric_health_.toleranceWarnings;
             if (err > kCrossCheckFailAbs &&
-                err > kCrossCheckFailRel * std::abs(golden_out_[i])) {
+                err > kCrossCheckFailRel * std::abs(golden)) {
                 ++numeric_health_.toleranceBreaches;
             }
         }
     }
-    return tape_out_;
+    // Dequantize into the output slots, where every reader looks.
+    for (std::size_t i = 0; i < all; ++i)
+        tape_work_[slot[i]] = fixed_out_[i].toDouble();
 }
-
-namespace
-{
-
-/** Unpack a tape result laid out as [value | Jx | Ju]. The StageEval's
- *  buffers are reused when already shaped, so repeated evaluation into
- *  the same StageEval does not allocate. */
-void
-unpack(const std::vector<double> &out, int rows, int nx, int nu,
-       StageEval &eval)
-{
-    const std::size_t urows = static_cast<std::size_t>(rows);
-    if (eval.value.size() != urows)
-        eval.value.resize(urows);
-    if (eval.jx.rows() != urows ||
-        eval.jx.cols() != static_cast<std::size_t>(nx))
-        eval.jx.resize(urows, nx);
-    if (eval.ju.rows() != urows ||
-        eval.ju.cols() != static_cast<std::size_t>(nu))
-        eval.ju.resize(urows, nu);
-    for (int i = 0; i < rows; ++i)
-        eval.value[i] = out[i];
-    int at = rows;
-    for (int i = 0; i < rows; ++i)
-        for (int j = 0; j < nx; ++j)
-            eval.jx(i, j) = out[at++];
-    for (int i = 0; i < rows; ++i)
-        for (int j = 0; j < nu; ++j)
-            eval.ju(i, j) = out[at++];
-}
-
-} // namespace
 
 void
 MpcProblem::evalInto(const sym::Tape &tape, int rows, const Vector &x,
                      const Vector *u, const Vector &ref,
                      StageEval &out) const
 {
-    pack(x, u, ref);
-    unpack(runTape(tape, tape.outputSlots().size()), rows, nx_,
-           u ? nu_ : 0, out);
+    const std::vector<int> &slot = tape.outputSlots();
+    runTape(tape, x, u, ref, slot.size());
+    const auto urows = static_cast<std::size_t>(rows);
+    const auto nx = static_cast<std::size_t>(nx_);
+    const std::size_t nu = u ? static_cast<std::size_t>(nu_) : 0;
+    const std::size_t jx_at = urows;
+    const std::size_t ju_at = urows + urows * nx;
+    auto entry = [&](std::size_t o) -> double & {
+        if (o < jx_at)
+            return out.value.data()[o];
+        if (o < ju_at)
+            return out.jx.data()[o - jx_at];
+        return out.ju.data()[o - ju_at];
+    };
+    const bool shaped = out.value.size() == urows && out.jx.rows() == urows &&
+                        out.jx.cols() == nx && out.ju.rows() == urows &&
+                        out.ju.cols() == nu;
+    // Fixed-point results quantize the constants too, so they never
+    // leave the tape's double constants behind.
+    const std::uint64_t serial =
+        options_.fixedPointTapes ? 0 : tape.serial();
+    if (serial != 0 && out.tapeSerial == serial && shaped) {
+        for (int o : tape.computedOutputs())
+            entry(static_cast<std::size_t>(o)) = tape_work_[slot[o]];
+        // Debug builds check the contract: every entry, so every one
+        // skipped above, holds the bits of its tape output.
+        [[maybe_unused]] auto all_current = [&] {
+            for (std::size_t o = 0; o < slot.size(); ++o)
+                if (std::memcmp(&entry(o), &tape_work_[slot[o]],
+                                sizeof(double)) != 0)
+                    return false;
+            return true;
+        };
+        robox_assert_dbg(all_current());
+        return;
+    }
+    if (!shaped) {
+        out.value.resize(urows);
+        out.jx.resize(urows, nx);
+        out.ju.resize(urows, nu);
+    }
+    for (std::size_t o = 0; o < slot.size(); ++o)
+        entry(o) = tape_work_[slot[o]];
+    out.tapeSerial = serial;
 }
 
 void
@@ -413,12 +456,12 @@ MpcProblem::valueInto(const sym::Tape &tape, int rows, const Vector &x,
                       const Vector *u, const Vector &ref,
                       Vector &out) const
 {
-    pack(x, u, ref);
-    const auto &vals = runTape(tape, static_cast<std::size_t>(rows));
+    runTape(tape, x, u, ref, static_cast<std::size_t>(rows));
     if (out.size() != static_cast<std::size_t>(rows))
         out.resize(static_cast<std::size_t>(rows));
+    const std::vector<int> &slot = tape.outputSlots();
     for (int i = 0; i < rows; ++i)
-        out[i] = vals[i];
+        out[i] = tape_work_[slot[i]];
 }
 
 void
@@ -463,19 +506,24 @@ MpcProblem::objective(const std::vector<Vector> &xs,
                       const std::vector<Vector> &refs) const
 {
     robox_assert_dbg(xs.size() == us.size() + 1);
+    // Value-only use of the tapes: only the residual rows run.
     double total = 0.0;
+    const std::vector<int> &run_slot = run_cost_tape_.outputSlots();
     for (std::size_t k = 0; k < us.size(); ++k) {
-        // Value-only use of the tapes: only the residual rows run.
-        pack(xs[k], &us[k], refs[k]);
-        const auto &out =
-            runTape(run_cost_tape_, running_weights_.size());
-        for (int i = 0; i < numRunningResiduals(); ++i)
-            total += running_weights_[i] * out[i] * out[i];
+        runTape(run_cost_tape_, xs[k], &us[k], refs[k],
+                running_weights_.size());
+        for (int i = 0; i < numRunningResiduals(); ++i) {
+            const double r = tape_work_[run_slot[i]];
+            total += running_weights_[i] * r * r;
+        }
     }
-    pack(xs.back(), nullptr, refs.back());
-    const auto &out = runTape(term_cost_tape_, terminal_weights_.size());
-    for (int i = 0; i < numTerminalResiduals(); ++i)
-        total += terminal_weights_[i] * out[i] * out[i];
+    const std::vector<int> &term_slot = term_cost_tape_.outputSlots();
+    runTape(term_cost_tape_, xs.back(), nullptr, refs.back(),
+            terminal_weights_.size());
+    for (int i = 0; i < numTerminalResiduals(); ++i) {
+        const double r = tape_work_[term_slot[i]];
+        total += terminal_weights_[i] * r * r;
+    }
     return total;
 }
 

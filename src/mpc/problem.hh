@@ -42,6 +42,24 @@ struct StageEval
     Vector value;  //!< Function value (F, r, or h).
     Matrix jx;     //!< Jacobian with respect to x.
     Matrix ju;     //!< Jacobian with respect to u (running only).
+    /**
+     * sym::Tape::serial() of the tape whose constant outputs value, jx
+     * and ju hold, or 0. While it names the evaluated tape and the
+     * shapes fit, an evaluation writes only the tape's computed
+     * outputs; code that writes into a StageEval itself sets it to 0.
+     */
+    std::uint64_t tapeSerial = 0;
+};
+
+/**
+ * Per row of a stage tape, its Jacobian columns that are not the
+ * compile-time constant 0, ascending. Every other entry of the row is
+ * 0 at any (x, u, ref).
+ */
+struct JacobianPattern
+{
+    std::vector<std::vector<int>> x; //!< Nonzero d/dx columns per row.
+    std::vector<std::vector<int>> u; //!< Nonzero d/du columns per row.
 };
 
 /** The discretized problem with compiled evaluation tapes. */
@@ -137,6 +155,24 @@ class MpcProblem
     void dynamicsValueInto(const Vector &x, const Vector &u,
                            const Vector &ref, Vector &out) const;
 
+    /** Nonzero Jacobian columns of the cost and inequality tapes. */
+    const JacobianPattern &runningCostPattern() const
+    {
+        return run_cost_pattern_;
+    }
+    const JacobianPattern &terminalCostPattern() const
+    {
+        return term_cost_pattern_;
+    }
+    const JacobianPattern &runningIneqPattern() const
+    {
+        return run_ineq_pattern_;
+    }
+    const JacobianPattern &terminalIneqPattern() const
+    {
+        return term_ineq_pattern_;
+    }
+
     /** Access the compiled tapes (workload input for the accelerator). */
     const sym::Tape &dynamicsTape() const { return dyn_tape_; }
     const sym::Tape &runningCostTape() const { return run_cost_tape_; }
@@ -204,27 +240,33 @@ class MpcProblem
     std::vector<sym::Expr> discretize() const;
 
     /**
-     * Evaluate a tape in double or fixed point per the options,
-     * reading the environment packed by pack() and returning a
-     * reference to the reusable output scratch, whose first `outputs`
-     * values are valid. The double path runs only the instruction
-     * prefix those outputs need (sym::Tape::outputEnds()); the
-     * fixed-point path always runs the whole tape, so its saturation
-     * counts do not depend on the caller. Reuses mutable per-instance
-     * buffers, sized at construction, so evaluation is
-     * allocation-free; an MpcProblem instance is therefore not safe to
-     * share across threads (BatchController gives each worker its own
-     * solver, and with it its own problem).
+     * Pack [x | u | ref] into the inputs of the slot scratch (a
+     * terminal stage passes no u and packs [x | 0 | ref]) and evaluate
+     * a tape there in double or fixed point per the options. Output o
+     * is then tape_work_[tape.outputSlots()[o]]; the first `outputs`
+     * are valid. The double path runs only the instruction prefix
+     * those outputs need (sym::Tape::outputEnds()); the fixed-point
+     * path always runs the whole tape, so its saturation counts do not
+     * depend on the caller. Reuses mutable per-instance buffers, sized
+     * at construction, so evaluation is allocation-free; an MpcProblem
+     * instance is therefore not safe to share across threads
+     * (BatchController gives each worker its own solver, and with it
+     * its own problem).
      */
-    const std::vector<double> &runTape(const sym::Tape &tape,
-                                       std::size_t outputs) const;
+    void runTape(const sym::Tape &tape, const Vector &x, const Vector *u,
+                 const Vector &ref, std::size_t outputs) const;
 
-    /** Pack [x | u | ref] into the environment scratch; a terminal
-     *  stage passes no u and packs [x | 0 | ref]. */
-    void pack(const Vector &x, const Vector *u, const Vector &ref) const;
+    /** Fixed-point evaluation of the inputs packed by runTape(),
+     *  dequantized into the output slots of the scratch. */
+    void runFixed(const sym::Tape &tape) const;
 
-    /** Evaluate a stage tape at (x, u, ref) and unpack its rows and
-     *  Jacobians; a terminal tape (no u) has no input block. */
+    /**
+     * Evaluate a stage tape at (x, u, ref) into out, laid out as
+     * [value | Jx | Ju]; a terminal tape (no u) has no input block.
+     * When out already holds this tape's constants (same serial and
+     * shapes), only the computed outputs are written; otherwise out is
+     * shaped and filled completely.
+     */
     void evalInto(const sym::Tape &tape, int rows, const Vector &x,
                   const Vector *u, const Vector &ref,
                   StageEval &out) const;
@@ -248,14 +290,11 @@ class MpcProblem
     std::vector<bool> run_row_uses_input_;
 
     // Evaluation scratch, reused across calls (see runTape).
-    mutable std::vector<double> env_;
     mutable std::vector<double> tape_work_;
-    mutable std::vector<double> tape_out_;
     mutable std::vector<Fixed> fixed_env_;
     mutable std::vector<Fixed> fixed_work_;
     mutable std::vector<Fixed> fixed_out_;
     mutable std::vector<double> golden_work_;
-    mutable std::vector<double> golden_out_;
     /** Per-word parity bits of the quantized environment, computed at
      *  host write time (accelSelfCheck). */
     mutable std::vector<std::uint8_t> parity_scratch_;
@@ -274,6 +313,10 @@ class MpcProblem
     sym::Tape term_cost_tape_;
     sym::Tape run_ineq_tape_;
     sym::Tape term_ineq_tape_;
+    JacobianPattern run_cost_pattern_;
+    JacobianPattern term_cost_pattern_;
+    JacobianPattern run_ineq_pattern_;
+    JacobianPattern term_ineq_pattern_;
 };
 
 } // namespace robox::mpc

@@ -5,6 +5,7 @@
 
 #include "sym/tape.hh"
 
+#include <atomic>
 #include <cmath>
 #include <unordered_map>
 
@@ -25,6 +26,9 @@ OpStats::operator+=(const OpStats &o)
 
 namespace
 {
+
+/** Last serial number handed to a compiled tape. */
+std::atomic<std::uint64_t> last_serial{0};
 
 /** Recursive, memoized lowering of one DAG node into tape slots. */
 int
@@ -96,6 +100,14 @@ Tape::Tape(const std::vector<Expr> &outputs, int num_vars)
         output_ends_.push_back(static_cast<int>(instrs_.size()));
     }
     num_slots_ = next_slot;
+
+    std::vector<bool> preloaded(static_cast<std::size_t>(num_slots_));
+    for (const Preload &p : preloads_)
+        preloaded[p.slot] = true;
+    for (std::size_t i = 0; i < output_slots_.size(); ++i)
+        if (!preloaded[output_slots_[i]])
+            computed_outputs_.push_back(static_cast<int>(i));
+    serial_ = last_serial.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 std::vector<double>
@@ -111,21 +123,23 @@ void
 Tape::evalInto(const std::vector<double> &inputs,
                std::vector<double> &work, std::vector<double> &out) const
 {
-    evalInto(inputs, work, out, output_slots_.size());
-}
-
-void
-Tape::evalInto(const std::vector<double> &inputs,
-               std::vector<double> &work, std::vector<double> &out,
-               std::size_t num_outputs) const
-{
     robox_assert(static_cast<int>(inputs.size()) == num_vars_);
-    robox_assert(num_outputs <= output_slots_.size());
     // No fill: inputs, preloads and instruction results write every
     // slot before any instruction or output reads it.
     work.resize(num_slots_);
     for (int i = 0; i < num_vars_; ++i)
         work[i] = inputs[i];
+    evalInPlace(work, output_slots_.size());
+    out.resize(output_slots_.size());
+    for (std::size_t i = 0; i < output_slots_.size(); ++i)
+        out[i] = work[output_slots_[i]];
+}
+
+void
+Tape::evalInPlace(std::vector<double> &work, std::size_t num_outputs) const
+{
+    robox_assert(work.size() >= static_cast<std::size_t>(num_slots_));
+    robox_assert(num_outputs <= output_slots_.size());
     for (const Preload &p : preloads_)
         work[p.slot] = p.value;
     const Instr *end =
@@ -153,9 +167,6 @@ Tape::evalInto(const std::vector<double> &inputs,
           default: panic("tape eval: bad op {}", opName(in.op));
         }
     }
-    out.resize(num_outputs);
-    for (std::size_t i = 0; i < num_outputs; ++i)
-        out[i] = work[output_slots_[i]];
 }
 
 std::vector<Fixed>

@@ -13,6 +13,7 @@
 #ifndef ROBOX_SYM_TAPE_HH
 #define ROBOX_SYM_TAPE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "fixed/fixed.hh"
@@ -87,6 +88,23 @@ class Tape
      */
     const std::vector<int> &outputEnds() const { return output_ends_; }
 
+    /**
+     * Ascending indices of the outputs computed at run time: those not
+     * held in a preload slot. Every other output is a constant fixed
+     * at compilation.
+     */
+    const std::vector<int> &computedOutputs() const
+    {
+        return computed_outputs_;
+    }
+    /**
+     * Serial number of the compilation that built this tape: copies
+     * share it and no other compilation reuses it, so it names the
+     * tape's outputs whatever address holds the tape. Compiled tapes
+     * number from 1; an empty, default-constructed tape has 0.
+     */
+    std::uint64_t serial() const { return serial_; }
+
     /** Evaluate in double precision. */
     std::vector<double> eval(const std::vector<double> &inputs) const;
 
@@ -102,14 +120,17 @@ class Tape
                   std::vector<double> &out) const;
 
     /**
-     * Evaluate only the first num_outputs outputs into out, running
-     * just the instruction prefix that computes them (outputEnds()).
-     * The values are bitwise those of the full evaluation: the prefix
-     * runs the same operations on the same operands in the same order.
+     * Evaluate on a slot scratch whose inputs, slots [0, numVars()),
+     * the caller has already written; work must hold at least
+     * numSlots() slots. Writes the preloads and runs the instruction
+     * prefix that computes the first num_outputs outputs
+     * (outputEnds()); output i is then work[outputSlots()[i]]. The
+     * values are bitwise those of the full evaluation: the prefix runs
+     * the same operations on the same operands in the same order.
+     * Every double-precision evaluation runs through here.
      */
-    void evalInto(const std::vector<double> &inputs,
-                  std::vector<double> &work, std::vector<double> &out,
-                  std::size_t num_outputs) const;
+    void evalInPlace(std::vector<double> &work,
+                     std::size_t num_outputs) const;
 
     /**
      * Evaluate in Q14.17 fixed point, using LUT-backed nonlinear
@@ -133,6 +154,8 @@ class Tape
     std::vector<Preload> preloads_;
     std::vector<int> output_slots_;
     std::vector<int> output_ends_;
+    std::vector<int> computed_outputs_;
+    std::uint64_t serial_ = 0;
 };
 
 } // namespace robox::sym

@@ -196,6 +196,25 @@ TEST(Controller, WarmStepAllocatesNothing)
               &controller.step(bench.initialState, bench.reference));
 }
 
+TEST(Controller, WarmStepWithRecorderAllocatesNothing)
+{
+    if (!support::allocCountingActive())
+        GTEST_SKIP() << "allocation counting hook not linked";
+    const robots::Benchmark &bench = robots::benchmark("MobileRobot");
+    mpc::MpcOptions options = bench.options;
+    options.flightRecorderCapacity = 4;
+    Controller controller(bench.source, options);
+    // Wrap the ring, so every slot has held a record.
+    for (int step = 0; step < 6; ++step)
+        controller.step(bench.initialState, bench.reference);
+    for (int step = 0; step < 3; ++step) {
+        const std::uint64_t before = support::allocCount();
+        controller.step(bench.initialState, bench.reference);
+        EXPECT_EQ(support::allocCount() - before, 0u) << "step " << step;
+    }
+    EXPECT_EQ(controller.flightRecorder().size(), 4);
+}
+
 TEST(Evaluation, GeometricMeanBasics)
 {
     EXPECT_DOUBLE_EQ(geometricMean({4.0}), 4.0);

@@ -6,8 +6,11 @@
  * loop on small robots.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -230,6 +233,239 @@ TEST(ValuePrefixCoverage, MobileRobotHasZeroRowTerminalTapes)
     const MpcProblem prob(robots::analyzeBenchmark(b), b.options);
     EXPECT_EQ(prob.numTerminalResiduals(), 0);
     EXPECT_EQ(prob.numTerminalIneq(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Fused evaluation: a StageEval that already holds a tape's constants
+// receives only that tape's computed outputs.
+// ---------------------------------------------------------------------
+
+/** A tape's outputs at the given inputs, as a solver should see them. */
+using TapeOracle = std::function<std::vector<double>(
+    const sym::Tape &, const std::vector<double> &)>;
+
+/** A seeded stage point and its tape inputs: [x | u | ref] and the
+ *  terminal stage's [x | 0 | ref]. */
+struct StagePoint
+{
+    Vector x, u, ref;
+    std::vector<double> env, envTerminal;
+};
+
+StagePoint
+seededPoint(const MpcProblem &prob, const robots::Benchmark &b,
+            std::mt19937 &rng)
+{
+    std::normal_distribution<double> noise(0.0, 0.2);
+    const dsl::ModelSpec &model = prob.model();
+    StagePoint p;
+    p.x = b.initialState;
+    p.ref = b.reference;
+    p.u = Vector(static_cast<std::size_t>(prob.nu()));
+    for (std::size_t i = 0; i < p.x.size(); ++i)
+        p.x[i] += noise(rng);
+    for (std::size_t i = 0; i < p.ref.size(); ++i)
+        p.ref[i] += noise(rng);
+    for (int i = 0; i < prob.nu(); ++i) {
+        const double lo = model.inputLower[i];
+        const double hi = model.inputUpper[i];
+        const bool boxed = lo != -dsl::kUnbounded && hi != dsl::kUnbounded;
+        p.u[i] = (boxed ? 0.5 * (lo + hi) : 0.0) + noise(rng);
+    }
+    for (std::size_t i = 0; i < p.x.size(); ++i)
+        p.env.push_back(p.x[i]);
+    p.envTerminal = p.env;
+    for (std::size_t i = 0; i < p.u.size(); ++i) {
+        p.env.push_back(p.u[i]);
+        p.envTerminal.push_back(0.0);
+    }
+    for (std::size_t i = 0; i < p.ref.size(); ++i) {
+        p.env.push_back(p.ref[i]);
+        p.envTerminal.push_back(p.ref[i]);
+    }
+    return p;
+}
+
+/** Expect e to hold exactly want, a tape's outputs laid out as
+ *  [value | Jx | Ju], in the shapes rows x nx and rows x nu. */
+void
+expectStageBits(const StageEval &e, const std::vector<double> &want,
+                std::size_t rows, std::size_t nx, std::size_t nu,
+                const std::string &what)
+{
+    ASSERT_EQ(want.size(), rows * (1 + nx + nu)) << what;
+    ASSERT_EQ(e.value.size(), rows) << what;
+    ASSERT_EQ(e.jx.rows(), rows) << what;
+    ASSERT_EQ(e.jx.cols(), nx) << what;
+    ASSERT_EQ(e.ju.rows(), rows) << what;
+    ASSERT_EQ(e.ju.cols(), nu) << what;
+    const double *blocks[] = {e.value.data(), e.jx.data(), e.ju.data()};
+    const std::size_t sizes[] = {rows, rows * nx, rows * nu};
+    std::size_t at = 0;
+    for (int b = 0; b < 3; ++b)
+        for (std::size_t i = 0; i < sizes[b]; ++i, ++at)
+            EXPECT_EQ(std::memcmp(&blocks[b][i], &want[at], sizeof(double)),
+                      0)
+                << what << ": output " << at << " is " << blocks[b][i]
+                << ", tape says " << want[at];
+}
+
+/** Evaluate the five stage tapes at p into one StageEval, dynamics
+ *  first and last, so that every call switches tape, and check each
+ *  result against the oracle. */
+void
+expectFusedSequence(const MpcProblem &prob, const StagePoint &p,
+                    StageEval &eval, const TapeOracle &oracle,
+                    const std::string &what)
+{
+    const auto nx = static_cast<std::size_t>(prob.nx());
+    const auto nu = static_cast<std::size_t>(prob.nu());
+    auto rows = [](int n) { return static_cast<std::size_t>(n); };
+    prob.evalDynamics(p.x, p.u, p.ref, eval);
+    expectStageBits(eval, oracle(prob.dynamicsTape(), p.env), nx, nx, nu,
+                    what + " dynamics");
+    prob.evalRunningCost(p.x, p.u, p.ref, eval);
+    expectStageBits(eval, oracle(prob.runningCostTape(), p.env),
+                    rows(prob.numRunningResiduals()), nx, nu,
+                    what + " running cost");
+    prob.evalTerminalCost(p.x, p.ref, eval);
+    expectStageBits(eval, oracle(prob.terminalCostTape(), p.envTerminal),
+                    rows(prob.numTerminalResiduals()), nx, 0,
+                    what + " terminal cost");
+    prob.evalRunningIneq(p.x, p.u, p.ref, eval);
+    expectStageBits(eval, oracle(prob.runningIneqTape(), p.env),
+                    rows(prob.numRunningIneq()), nx, nu,
+                    what + " running ineq");
+    prob.evalTerminalIneq(p.x, p.ref, eval);
+    expectStageBits(eval, oracle(prob.terminalIneqTape(), p.envTerminal),
+                    rows(prob.numTerminalIneq()), nx, 0,
+                    what + " terminal ineq");
+    prob.evalDynamics(p.x, p.u, p.ref, eval);
+    expectStageBits(eval, oracle(prob.dynamicsTape(), p.env), nx, nx, nu,
+                    what + " dynamics again");
+}
+
+std::vector<double>
+doubleOracle(const sym::Tape &tape, const std::vector<double> &inputs)
+{
+    return tape.eval(inputs);
+}
+
+class FusedEvaluation : public ::testing::TestWithParam<std::string>
+{
+};
+
+// One StageEval serves all five tapes at seeded points. Each point
+// starts with the tape the previous one ended with, so both the
+// complete fill and the computed-outputs-only write are checked,
+// bitwise, against sym::Tape::eval on the same inputs. The fixed-point
+// path is checked the same way against the quantized tape.
+TEST_P(FusedEvaluation, ReusedStageEvalMatchesTapeEvaluationBitwise)
+{
+    const robots::Benchmark &b = robots::benchmark(GetParam());
+    const dsl::ModelSpec model = robots::analyzeBenchmark(b);
+    MpcOptions opt = b.options;
+    opt.horizon = 4;
+    std::mt19937 rng(31);
+    StageEval eval;
+
+    const MpcProblem prob(model, opt);
+    for (int point = 0; point < 3; ++point)
+        expectFusedSequence(prob, seededPoint(prob, b, rng), eval,
+                            doubleOracle,
+                            "double point " + std::to_string(point));
+
+    opt.fixedPointTapes = true;
+    const MpcProblem fixed(model, opt);
+    const FixedMath fm(opt.lutEntries);
+    auto fixed_oracle = [&](const sym::Tape &tape,
+                            const std::vector<double> &inputs) {
+        std::vector<Fixed> quantized;
+        for (double v : inputs)
+            quantized.push_back(Fixed::fromDouble(v));
+        std::vector<double> out;
+        for (const Fixed &v : tape.evalFixed(quantized, fm))
+            out.push_back(v.toDouble());
+        return out;
+    };
+    for (int point = 0; point < 2; ++point)
+        expectFusedSequence(fixed, seededPoint(fixed, b, rng), eval,
+                            fixed_oracle,
+                            "fixed point " + std::to_string(point));
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3, FusedEvaluation,
+                         ::testing::Values("MobileRobot", "Manipulator",
+                                           "AutoVehicle", "MicroSat",
+                                           "Quadrotor", "Hexacopter"));
+
+// Problems built in turn in one storage hold their tapes at the same
+// addresses. A StageEval filled by one of them must be refilled for
+// the next: the Quadrotor at twice the step has the same shapes but
+// other constants (the dt entries of its dynamics Jacobians).
+TEST(FusedEvaluationIdentity, SurvivesTapeAddressReuse)
+{
+    struct Build
+    {
+        const char *robot;
+        double dtScale;
+    };
+    const Build builds[] = {
+        {"Quadrotor", 1.0}, {"Quadrotor", 2.0}, {"Hexacopter", 1.0},
+        {"Quadrotor", 1.0}};
+    std::optional<MpcProblem> prob;
+    const sym::Tape *first = nullptr;
+    std::mt19937 rng(37);
+    StageEval eval;
+    for (const Build &build : builds) {
+        const robots::Benchmark &b = robots::benchmark(build.robot);
+        MpcOptions opt = b.options;
+        opt.horizon = 4;
+        opt.dt *= build.dtScale;
+        prob.reset();
+        prob.emplace(robots::analyzeBenchmark(b), opt);
+        if (!first)
+            first = &prob->dynamicsTape();
+        ASSERT_EQ(&prob->dynamicsTape(), first);
+        expectFusedSequence(*prob, seededPoint(*prob, b, rng), eval,
+                            doubleOracle,
+                            std::string(build.robot) + " dt x" +
+                                std::to_string(build.dtScale));
+    }
+}
+
+// A StageEval that holds a tape's constants receives only the computed
+// outputs, so code that writes into one sets tapeSerial to 0 to have it
+// filled again. Debug builds catch a write that skipped a clobbered
+// constant.
+TEST(FusedEvaluationDeathTest, ClobberedConstantIsCaughtOrRefilled)
+{
+    const robots::Benchmark &b = robots::benchmark("Quadrotor");
+    MpcOptions opt = b.options;
+    opt.horizon = 4;
+    const MpcProblem prob(robots::analyzeBenchmark(b), opt);
+    std::mt19937 rng(41);
+    const StagePoint p = seededPoint(prob, b, rng);
+    StageEval eval;
+    prob.evalDynamics(p.x, p.u, p.ref, eval);
+
+    // The first constant output of the x Jacobian block.
+    const std::vector<int> &computed =
+        prob.dynamicsTape().computedOutputs();
+    const int nx = prob.nx();
+    int o = nx;
+    while (std::binary_search(computed.begin(), computed.end(), o))
+        ++o;
+    ASSERT_LT(o, nx + nx * nx);
+    double &entry = eval.jx.data()[o - nx];
+    const double constant = entry;
+    entry = constant + 1.0;
+#if !defined(NDEBUG) || defined(ROBOX_FORCE_ASSERTS)
+    EXPECT_DEATH(prob.evalDynamics(p.x, p.u, p.ref, eval), "assertion");
+#endif
+    eval.tapeSerial = 0;
+    prob.evalDynamics(p.x, p.u, p.ref, eval);
+    EXPECT_EQ(entry, constant);
 }
 
 TEST(Problem, Rk4MatchesNumericalIntegration)

@@ -298,7 +298,7 @@ TEST(Tape, PrefixEvaluationMatchesFullEvaluationBitwise)
     std::mt19937 rng(7);
     std::uniform_real_distribution<double> dist(-1.5, 1.5);
     std::uniform_int_distribution<int> pick(0, 6);
-    std::vector<double> work, full, prefix;
+    std::vector<double> work, full;
     for (int trial = 0; trial < 40; ++trial) {
         Expr x = var(0, "x");
         Expr y = var(1, "y");
@@ -331,14 +331,34 @@ TEST(Tape, PrefixEvaluationMatchesFullEvaluationBitwise)
                         1e-12 * (1.0 + std::abs(full[i])));
         for (std::size_t k = 0; k <= outputs.size(); ++k) {
             work.assign(poisoned, std::nan(""));
-            tape.evalInto(in, work, prefix, k);
-            ASSERT_EQ(prefix.size(), k);
-            for (std::size_t i = 0; i < k; ++i)
-                EXPECT_EQ(std::memcmp(&prefix[i], &full[i], sizeof(double)),
-                          0)
+            std::copy(in.begin(), in.end(), work.begin());
+            tape.evalInPlace(work, k);
+            for (std::size_t i = 0; i < k; ++i) {
+                const double got = work[tape.outputSlots()[i]];
+                EXPECT_EQ(std::memcmp(&got, &full[i], sizeof(double)), 0)
                     << "trial " << trial << ", k " << k << ", output " << i;
+            }
         }
     }
+}
+
+TEST(Tape, MarksConstantOutputsAndKeepsOneSerialPerCompilation)
+{
+    Expr x = var(0, "x");
+    Expr y = var(1, "y");
+    const std::vector<Expr> outputs{x * y, Expr(3.0), x, (x * y).diff(1),
+                                    Expr(0.0), Expr(3.0)};
+    const Tape tape(outputs, 2);
+    // x * y, x and d(x * y)/dy read the inputs; the three constants
+    // sit in preload slots.
+    EXPECT_EQ(tape.computedOutputs(), (std::vector<int>{0, 2, 3}));
+
+    const Tape copy = tape;
+    const Tape again(outputs, 2);
+    EXPECT_NE(tape.serial(), 0u);
+    EXPECT_EQ(copy.serial(), tape.serial());
+    EXPECT_NE(again.serial(), tape.serial());
+    EXPECT_EQ(Tape().serial(), 0u);
 }
 
 TEST(Derivatives, GradientAndJacobianShapes)

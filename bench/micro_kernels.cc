@@ -31,8 +31,16 @@ randomSpd(std::size_t n, unsigned seed)
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
             b(i, j) = dist(rng);
-    Matrix a = b.mulTranspose(b);
-    a.addDiagonal(static_cast<double>(n));
+    Matrix a(n, n); // B B^T + n I
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < n; ++k)
+                acc += b(i, k) * b(j, k);
+            a(i, j) = acc;
+        }
+        a(i, i) += static_cast<double>(n);
+    }
     return a;
 }
 
@@ -41,11 +49,11 @@ randomStages(int nx, int nu, int n_stages, unsigned seed)
 {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    auto rand_mat = [&](std::size_t r, std::size_t c) {
+    auto rand_mat = [&](std::size_t r, std::size_t c, double scale = 1.0) {
         Matrix m(r, c);
         for (std::size_t i = 0; i < r; ++i)
             for (std::size_t j = 0; j < c; ++j)
-                m(i, j) = dist(rng);
+                m(i, j) = dist(rng) * scale;
         return m;
     };
     auto rand_vec = [&](std::size_t n) {
@@ -61,7 +69,7 @@ randomStages(int nx, int nu, int n_stages, unsigned seed)
         st.c = rand_vec(nx);
         st.q = randomSpd(nx, seed + 1);
         st.r = randomSpd(nu, seed + 2);
-        st.s = rand_mat(nu, nx) * 0.1;
+        st.s = rand_mat(nu, nx, 0.1);
         st.qv = rand_vec(nx);
         st.rv = rand_vec(nu);
     }

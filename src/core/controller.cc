@@ -13,12 +13,12 @@ namespace robox::core
 Controller::Controller(const std::string &source,
                        const mpc::MpcOptions &options,
                        const std::string &task_name)
-    : model_(dsl::analyzeSource(source, task_name)),
-      solver_(std::make_unique<mpc::IpmSolver>(model_, options)),
-      backup_(model_),
-      gate_(model_, options)
+    : solver_(std::make_unique<mpc::IpmSolver>(
+          dsl::analyzeSource(source, task_name), options)),
+      backup_(model()),
+      gate_(model(), options)
 {
-    result_.u0.resize(static_cast<std::size_t>(model_.nu()));
+    result_.u0.resize(static_cast<std::size_t>(model().nu()));
     if (options.flightRecorderCapacity > 0)
         recorder_.configure(options.flightRecorderCapacity);
 }

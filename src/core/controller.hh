@@ -8,10 +8,11 @@
  * automatic differentiation, tape compilation), and instantiates the
  * interior-point solver. step() performs one MPC invocation.
  *
- * The architectural path is exposed alongside: compile() lowers one
- * solver iteration to the M-DFG, maps it with the Controller Compiler,
- * emits the three ISA streams, and the accelerator simulator returns
- * cycle-accurate timing for any accelerator configuration.
+ * The architectural path is exposed alongside: compileForAccelerator()
+ * lowers one solver iteration to the M-DFG, maps it with the
+ * Controller Compiler and emits the three ISA streams, and
+ * accel::simulateIteration(problem(), config) returns cycle-accurate
+ * timing for any accelerator configuration.
  */
 
 #ifndef ROBOX_CORE_CONTROLLER_HH
@@ -50,14 +51,6 @@ class Controller
      */
     Controller(const std::string &source, const mpc::MpcOptions &options,
                const std::string &task_name = "");
-
-    /** Convenience factory. */
-    static Controller
-    fromSource(const std::string &source,
-               const mpc::MpcOptions &options = mpc::MpcOptions())
-    {
-        return Controller(source, options);
-    }
 
     /**
      * One controller invocation: measured state + references -> u0.
@@ -142,7 +135,10 @@ class Controller
         return backup_.consecutiveDegraded();
     }
 
-    const dsl::ModelSpec &model() const { return model_; }
+    const dsl::ModelSpec &model() const
+    {
+        return solver_->problem().model();
+    }
     const mpc::MpcProblem &problem() const { return solver_->problem(); }
     mpc::IpmSolver &solver() { return *solver_; }
     const mpc::SolveStats &lastStats() const
@@ -172,13 +168,6 @@ class Controller
         solver_->setTapeFaultHook(std::move(hook));
     }
 
-    /** Closed-loop simulation against the true continuous dynamics. */
-    mpc::SimulationResult
-    simulate(const Vector &x0, const Vector &ref, int steps)
-    {
-        return mpc::simulateClosedLoop(*solver_, x0, ref, steps);
-    }
-
     /**
      * Lower one solver iteration through the Controller Compiler for
      * the given accelerator and return the emitted ISA streams.
@@ -186,18 +175,6 @@ class Controller
     compiler::IsaStreams
     compileForAccelerator(const accel::AcceleratorConfig &config,
                           int slice_stages = 32) const;
-
-    /**
-     * Cycle-accurate accelerator timing of one solver iteration,
-     * extrapolated to the full horizon.
-     */
-    accel::CycleStats
-    acceleratorIteration(const accel::AcceleratorConfig &config,
-                         int slice_stages = 64) const
-    {
-        return accel::simulateIteration(solver_->problem(), config,
-                                        slice_stages);
-    }
 
   private:
     template <class Io, class Self>
@@ -217,7 +194,8 @@ class Controller
     void recordFlight(const Vector &x,
                       const mpc::IpmSolver::Result &result);
 
-    dsl::ModelSpec model_;
+    /** Owns the model. backup_ and gate_ point into the solver's own
+     *  copy of it, which a move of this controller does not relocate. */
     std::unique_ptr<mpc::IpmSolver> solver_;
     mpc::BackupPlan backup_;
     mpc::SensorGate gate_;

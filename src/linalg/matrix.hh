@@ -15,15 +15,12 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "support/logging.hh"
 
 namespace robox
 {
-
-class Matrix;
 
 /** A dense column vector of doubles. */
 class Vector
@@ -49,18 +46,10 @@ class Vector
     double *data() { return data_.data(); }
     const double *data() const { return data_.data(); }
 
-    Vector operator+(const Vector &o) const;
-    Vector operator-(const Vector &o) const;
-    Vector operator*(double s) const;
     Vector &operator+=(const Vector &o);
     Vector &operator-=(const Vector &o);
     Vector &operator*=(double s);
-    Vector operator-() const;
 
-    /** Dot product. */
-    double dot(const Vector &o) const;
-    /** Euclidean norm. */
-    double norm() const;
     /** Infinity norm. */
     double normInf() const;
     /** Set every element to the given value. */
@@ -73,21 +62,10 @@ class Vector
     void resize(std::size_t n) { data_.assign(n, 0.0); }
     /** Copy from an equal-sized vector without reallocating. */
     void copyFrom(const Vector &o);
-    /** Copy [offset, offset+n) into a new vector. */
-    Vector segment(std::size_t offset, std::size_t n) const;
-    /** Write src into [offset, offset+src.size()). */
-    void setSegment(std::size_t offset, const Vector &src);
-    /** Append an element. */
-    void push_back(double v) { data_.push_back(v); }
-    /** Human-readable rendering for diagnostics. */
-    std::string str() const;
 
   private:
     std::vector<double> data_;
 };
-
-/** Scalar-vector product. */
-Vector operator*(double s, const Vector &v);
 
 /** A dense row-major matrix of doubles. */
 class Matrix
@@ -100,8 +78,6 @@ class Matrix
 
     /** Identity matrix of order n. */
     static Matrix identity(std::size_t n);
-    /** Diagonal matrix from a vector. */
-    static Matrix diagonal(const Vector &d);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
@@ -118,30 +94,6 @@ class Matrix
     double *data() { return data_.data(); }
     const double *data() const { return data_.data(); }
 
-    Matrix operator+(const Matrix &o) const;
-    Matrix operator-(const Matrix &o) const;
-    Matrix operator*(const Matrix &o) const;
-    Matrix operator*(double s) const;
-    Matrix &operator+=(const Matrix &o);
-    Vector operator*(const Vector &v) const;
-
-    /** Transpose. */
-    Matrix transposed() const;
-    /** this^T * v without forming the transpose. */
-    Vector transposeMul(const Vector &v) const;
-    /** this^T * o without forming the transpose. */
-    Matrix transposeMul(const Matrix &o) const;
-    /** this * o^T without forming the transpose. */
-    Matrix mulTranspose(const Matrix &o) const;
-    /** Add s * I in place. */
-    void addDiagonal(double s);
-    /** Max absolute element. */
-    double normMax() const;
-    /** Copy a block into a new matrix. */
-    Matrix block(std::size_t r0, std::size_t c0,
-                 std::size_t nr, std::size_t nc) const;
-    /** Write src at (r0, c0). */
-    void setBlock(std::size_t r0, std::size_t c0, const Matrix &src);
     /** Set every element to the given value. */
     void fill(double value);
     /** Resize to rows x cols, all zero; reuses capacity like
@@ -149,8 +101,6 @@ class Matrix
     void resize(std::size_t rows, std::size_t cols);
     /** Copy from an equal-shaped matrix without reallocating. */
     void copyFrom(const Matrix &o);
-    /** Human-readable rendering for diagnostics. */
-    std::string str() const;
 
   private:
     std::size_t rows_;
@@ -174,14 +124,10 @@ void multiplyInto(const Matrix &a, const Matrix &b, Matrix &out);
 void multiplyInto(const Matrix &a, const Vector &v, Vector &out);
 /** out += a * v. */
 void multiplyAddInto(const Matrix &a, const Vector &v, Vector &out);
-/** out = a^T * b without forming the transpose. */
-void transposeMulInto(const Matrix &a, const Matrix &b, Matrix &out);
-/** out += a^T * b. */
+/** out += a^T * b without forming the transpose. */
 void transposeMulAddInto(const Matrix &a, const Matrix &b, Matrix &out);
 /** out -= a^T * b. */
 void transposeMulSubInto(const Matrix &a, const Matrix &b, Matrix &out);
-/** out = a^T * v. */
-void transposeMulInto(const Matrix &a, const Vector &v, Vector &out);
 /** out += a^T * v. */
 void transposeMulAddInto(const Matrix &a, const Vector &v, Vector &out);
 /** out -= a^T * v. */

@@ -58,149 +58,66 @@ predictSeconds(const PlatformSpec &platform,
     return workload.iterations * per_iteration;
 }
 
-double
-predictJoules(const PlatformSpec &platform,
-              const WorkloadProfile &workload)
-{
-    return predictSeconds(platform, workload) * platform.busyPowerWatts;
-}
-
-namespace
-{
-
-PlatformSpec
-makeArmA57()
-{
-    PlatformSpec p;
-    p.name = "ARM Cortex A57";
-    p.cores = 4;
-    p.clockGhz = 2.0;
-    p.flopsPerCyclePerCore = 4.0; // 2x64-bit NEON FMA.
-    p.utilization = 0.0215;
-    p.multicoreScaling = 0.25;
-    p.dramBandwidthGBs = 12.0;
-    p.cacheMb = 2.0;
-    p.cacheDegradation = 0.42;
-    p.busyPowerWatts = 2.5;
-    return p;
-}
-
-PlatformSpec
-makeXeonE3()
-{
-    PlatformSpec p;
-    p.name = "Intel Xeon E3";
-    p.cores = 4;
-    p.clockGhz = 3.6;
-    p.flopsPerCyclePerCore = 16.0; // AVX2 FMA, 4x64-bit, 2 ports.
-    p.utilization = 0.0111;
-    p.multicoreScaling = 0.30; // SMT helps the stage-parallel phases.
-    p.dramBandwidthGBs = 21.0;
-    p.cacheMb = 8.0;
-    p.cacheDegradation = 0.5;
-    p.busyPowerWatts = 36.0;
-    return p;
-}
-
-PlatformSpec
-makeTegraX2()
-{
-    PlatformSpec p;
-    p.name = "Tegra X2";
-    p.isGpu = true;
-    p.cores = 256;
-    p.clockGhz = 0.854;
-    p.flopsPerCyclePerCore = 2.0;
-    p.utilization = 0.0069;
-    p.multicoreScaling = 1.0; // Occupancy is folded into utilization.
-    p.dramBandwidthGBs = 40.0;
-    p.cacheMb = 2.0;
-    p.launchOverheadUs = 1.5;
-    p.syncPerStageUs = 0.1;
-    p.busyPowerWatts = 7.5;
-    return p;
-}
-
-PlatformSpec
-makeGtx650Ti()
-{
-    PlatformSpec p;
-    p.name = "GTX 650 Ti";
-    p.isGpu = true;
-    p.cores = 768;
-    p.clockGhz = 0.928;
-    p.flopsPerCyclePerCore = 2.0;
-    p.utilization = 0.0048;
-    p.multicoreScaling = 1.0;
-    p.dramBandwidthGBs = 80.0;
-    p.cacheMb = 1.0;
-    p.launchOverheadUs = 1.5;
-    p.syncPerStageUs = 0.1;
-    p.busyPowerWatts = 110.0;
-    return p;
-}
-
-PlatformSpec
-makeTeslaK40()
-{
-    PlatformSpec p;
-    p.name = "Tesla K40";
-    p.isGpu = true;
-    p.cores = 2880;
-    p.clockGhz = 0.875;
-    p.flopsPerCyclePerCore = 2.0;
-    p.utilization = 0.008;
-    p.multicoreScaling = 1.0;
-    p.dramBandwidthGBs = 230.0;
-    p.cacheMb = 1.5;
-    p.launchOverheadUs = 1.5;
-    p.syncPerStageUs = 0.1;
-    p.busyPowerWatts = 235.0;
-    return p;
-}
-
-} // namespace
-
-const PlatformSpec &
-armA57()
-{
-    static const PlatformSpec p = makeArmA57();
-    return p;
-}
-
-const PlatformSpec &
-xeonE3()
-{
-    static const PlatformSpec p = makeXeonE3();
-    return p;
-}
-
-const PlatformSpec &
-tegraX2()
-{
-    static const PlatformSpec p = makeTegraX2();
-    return p;
-}
-
-const PlatformSpec &
-gtx650Ti()
-{
-    static const PlatformSpec p = makeGtx650Ti();
-    return p;
-}
-
-const PlatformSpec &
-teslaK40()
-{
-    static const PlatformSpec p = makeTeslaK40();
-    return p;
-}
-
 const std::vector<PlatformSpec> &
 allPlatforms()
 {
     static const std::vector<PlatformSpec> list = {
-        armA57(), xeonE3(), tegraX2(), gtx650Ti(), teslaK40(),
+        {.name = "ARM Cortex A57",
+         .cores = 4,
+         .clockGhz = 2.0,
+         .flopsPerCyclePerCore = 4.0, // 2x64-bit NEON FMA.
+         .utilization = 0.0215,
+         .multicoreScaling = 0.25,
+         .dramBandwidthGBs = 12.0,
+         .cacheMb = 2.0,
+         .cacheDegradation = 0.42,
+         .busyPowerWatts = 2.5},
+        {.name = "Intel Xeon E3",
+         .cores = 4,
+         .clockGhz = 3.6,
+         .flopsPerCyclePerCore = 16.0, // AVX2 FMA, 4x64-bit, 2 ports.
+         .utilization = 0.0111,
+         .multicoreScaling = 0.30, // SMT helps the stage-parallel phases.
+         .dramBandwidthGBs = 21.0,
+         .cacheMb = 8.0,
+         .cacheDegradation = 0.5,
+         .busyPowerWatts = 36.0},
+        {.name = "Tegra X2",
+         .isGpu = true,
+         .cores = 256,
+         .clockGhz = 0.854,
+         .flopsPerCyclePerCore = 2.0,
+         .utilization = 0.0069,
+         .multicoreScaling = 1.0, // Occupancy is folded into utilization.
+         .dramBandwidthGBs = 40.0,
+         .cacheMb = 2.0,
+         .launchOverheadUs = 1.5,
+         .syncPerStageUs = 0.1,
+         .busyPowerWatts = 7.5},
+        {.name = "GTX 650 Ti",
+         .isGpu = true,
+         .cores = 768,
+         .clockGhz = 0.928,
+         .flopsPerCyclePerCore = 2.0,
+         .utilization = 0.0048,
+         .multicoreScaling = 1.0,
+         .dramBandwidthGBs = 80.0,
+         .cacheMb = 1.0,
+         .launchOverheadUs = 1.5,
+         .syncPerStageUs = 0.1,
+         .busyPowerWatts = 110.0},
+        {.name = "Tesla K40",
+         .isGpu = true,
+         .cores = 2880,
+         .clockGhz = 0.875,
+         .flopsPerCyclePerCore = 2.0,
+         .utilization = 0.008,
+         .multicoreScaling = 1.0,
+         .dramBandwidthGBs = 230.0,
+         .cacheMb = 1.5,
+         .launchOverheadUs = 1.5,
+         .syncPerStageUs = 0.1,
+         .busyPowerWatts = 235.0},
     };
     return list;
 }

@@ -91,17 +91,8 @@ struct WorkloadProfile
 double predictSeconds(const PlatformSpec &platform,
                       const WorkloadProfile &workload);
 
-/** Predicted energy per controller invocation (J). */
-double predictJoules(const PlatformSpec &platform,
-                     const WorkloadProfile &workload);
-
-/** Baseline platform catalog (Table IV). */
-const PlatformSpec &armA57();
-const PlatformSpec &xeonE3();
-const PlatformSpec &tegraX2();
-const PlatformSpec &gtx650Ti();
-const PlatformSpec &teslaK40();
-/** All five baselines in Table IV order. */
+/** The baseline platform catalog: all five of Table IV, in its
+ *  order. */
 const std::vector<PlatformSpec> &allPlatforms();
 
 } // namespace robox::perfmodel

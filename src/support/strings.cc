@@ -5,77 +5,11 @@
 
 #include "support/strings.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace robox
 {
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t begin = 0;
-    std::size_t end = s.size();
-    while (begin < end && std::isspace(static_cast<unsigned char>(s[begin])))
-        ++begin;
-    while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1])))
-        --end;
-    return s.substr(begin, end - begin);
-}
-
-std::vector<std::string>
-split(const std::string &s, char delim)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == delim) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
-std::string
-join(const std::vector<std::string> &pieces, const std::string &sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-        if (i)
-            out += sep;
-        out += pieces[i];
-    }
-    return out;
-}
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string
-toLower(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
 
 std::string
 formatDouble(double value)

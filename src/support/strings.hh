@@ -7,29 +7,9 @@
 #define ROBOX_SUPPORT_STRINGS_HH
 
 #include <string>
-#include <vector>
 
 namespace robox
 {
-
-/** Strip leading and trailing whitespace. */
-std::string trim(const std::string &s);
-
-/** Split on a delimiter character; empty fields are preserved. */
-std::vector<std::string> split(const std::string &s, char delim);
-
-/** Join the pieces with a separator string. */
-std::string join(const std::vector<std::string> &pieces,
-                 const std::string &sep);
-
-/** True if s starts with the given prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
-/** True if s ends with the given suffix. */
-bool endsWith(const std::string &s, const std::string &suffix);
-
-/** Lower-case an ASCII string. */
-std::string toLower(const std::string &s);
 
 /**
  * Render a double with enough precision to round-trip, trimming

@@ -25,21 +25,23 @@ TEST(Controller, EndToEndFromSource)
     const robots::Benchmark &bench = robots::benchmark("MobileRobot");
     mpc::MpcOptions opt = bench.options;
     opt.horizon = 16;
-    Controller controller = Controller::fromSource(bench.source, opt);
+    Controller controller(bench.source, opt);
 
     EXPECT_EQ(controller.model().systemName, "MobileRobot");
     auto result = controller.step(bench.initialState, bench.reference);
     EXPECT_TRUE(result.converged);
     EXPECT_EQ(result.u0.size(), 2u);
 
-    auto sim = controller.simulate(bench.initialState, bench.reference,
-                                   40);
+    auto sim = mpc::simulateClosedLoop(controller.solver(),
+                                       bench.initialState, bench.reference,
+                                       40);
     EXPECT_NEAR(sim.states.back()[0], bench.reference[0], 0.2);
 }
 
 TEST(Controller, RejectsBadSource)
 {
-    EXPECT_THROW(Controller::fromSource("System Broken {"), FatalError);
+    EXPECT_THROW(Controller("System Broken {", mpc::MpcOptions()),
+                 FatalError);
 }
 
 TEST(Controller, CompilesForAccelerator)
@@ -55,8 +57,8 @@ TEST(Controller, CompilesForAccelerator)
     EXPECT_GT(streams.comm.size(), 10u);
     EXPECT_GT(streams.memory.size(), 8u);
 
-    auto stats = controller.acceleratorIteration(
-        accel::AcceleratorConfig::paperDefault());
+    auto stats = accel::simulateIteration(
+        controller.problem(), accel::AcceleratorConfig::paperDefault());
     EXPECT_GT(stats.cycles, 0u);
 }
 
@@ -213,6 +215,26 @@ TEST(Controller, WarmStepWithRecorderAllocatesNothing)
         EXPECT_EQ(support::allocCount() - before, 0u) << "step " << step;
     }
     EXPECT_EQ(controller.flightRecorder().size(), 4);
+}
+
+// The backup plan and the sensor gate read the model a moved controller
+// took with it, not the one the moved-from controller left behind.
+TEST(Controller, MovedControllerServesFullSizedBackupCommand)
+{
+    const robots::Benchmark &bench = robots::benchmark("MobileRobot");
+    Controller source(bench.source, bench.options);
+    Controller moved(std::move(source));
+    Vector x = bench.initialState;
+    x[0] = std::nan("");
+    const mpc::IpmSolver::Result &result = moved.step(x, bench.reference);
+    EXPECT_FALSE(mpc::statusUsable(result.status));
+    const dsl::ModelSpec &model = moved.model();
+    ASSERT_EQ(result.u0.size(), static_cast<std::size_t>(model.nu()));
+    for (std::size_t j = 0; j < result.u0.size(); ++j) {
+        EXPECT_TRUE(std::isfinite(result.u0[j])) << j;
+        EXPECT_GE(result.u0[j], model.inputLower[j]) << j;
+        EXPECT_LE(result.u0[j], model.inputUpper[j]) << j;
+    }
 }
 
 TEST(Evaluation, GeometricMeanBasics)

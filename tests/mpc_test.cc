@@ -619,11 +619,11 @@ TEST_P(RiccatiOracle, MatchesDenseKktSolve)
     std::mt19937 rng(nx * 100 + nu * 10 + n_stages);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
 
-    auto rand_mat = [&](std::size_t r, std::size_t c) {
+    auto rand_mat = [&](std::size_t r, std::size_t c, double scale = 1.0) {
         Matrix m(r, c);
         for (std::size_t i = 0; i < r; ++i)
             for (std::size_t j = 0; j < c; ++j)
-                m(i, j) = dist(rng);
+                m(i, j) = dist(rng) * scale;
         return m;
     };
     auto rand_vec = [&](std::size_t n) {
@@ -632,10 +632,18 @@ TEST_P(RiccatiOracle, MatchesDenseKktSolve)
             v[i] = dist(rng);
         return v;
     };
-    auto rand_spd = [&](std::size_t n, double shift) {
+    auto rand_spd = [&](std::size_t n, double shift) { // B B^T + shift I
         Matrix b = rand_mat(n, n);
-        Matrix m = b.mulTranspose(b);
-        m.addDiagonal(shift);
+        Matrix m(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                double acc = 0.0;
+                for (std::size_t k = 0; k < n; ++k)
+                    acc += b(i, k) * b(j, k);
+                m(i, j) = acc;
+            }
+            m(i, i) += shift;
+        }
         return m;
     };
 
@@ -646,7 +654,7 @@ TEST_P(RiccatiOracle, MatchesDenseKktSolve)
         st.c = rand_vec(nx);
         st.q = rand_spd(nx, 0.5);
         st.r = rand_spd(nu, 1.0);
-        st.s = rand_mat(nu, nx) * 0.1;
+        st.s = rand_mat(nu, nx, 0.1);
         st.qv = rand_vec(nx);
         st.rv = rand_vec(nu);
     }

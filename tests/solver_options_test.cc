@@ -33,11 +33,11 @@ TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
 {
     std::mt19937 rng(31);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    auto rand_mat = [&](std::size_t r, std::size_t c) {
+    auto rand_mat = [&](std::size_t r, std::size_t c, double scale = 1.0) {
         Matrix m(r, c);
         for (std::size_t i = 0; i < r; ++i)
             for (std::size_t j = 0; j < c; ++j)
-                m(i, j) = dist(rng);
+                m(i, j) = dist(rng) * scale;
         return m;
     };
     auto rand_vec = [&](std::size_t n) {
@@ -46,10 +46,18 @@ TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
             v[i] = dist(rng);
         return v;
     };
-    auto rand_spd = [&](std::size_t n) {
+    auto rand_spd = [&](std::size_t n) { // B B^T + n I
         Matrix b = rand_mat(n, n);
-        Matrix m = b.mulTranspose(b);
-        m.addDiagonal(static_cast<double>(n));
+        Matrix m(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                double acc = 0.0;
+                for (std::size_t k = 0; k < n; ++k)
+                    acc += b(i, k) * b(j, k);
+                m(i, j) = acc;
+            }
+            m(i, i) += static_cast<double>(n);
+        }
         return m;
     };
 
@@ -64,7 +72,7 @@ TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
             st.c = rand_vec(nx);
             st.q = rand_spd(nx);
             st.r = rand_spd(nu);
-            st.s = rand_mat(nu, nx) * 0.1;
+            st.s = rand_mat(nu, nx, 0.1);
             st.qv = rand_vec(nx);
             st.rv = rand_vec(nu);
         }

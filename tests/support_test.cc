@@ -44,43 +44,6 @@ TEST(Logging, WarnAndInformDoNotThrow)
     EXPECT_NO_THROW(inform("an info message"));
 }
 
-TEST(Strings, TrimStripsBothEnds)
-{
-    EXPECT_EQ(trim("  abc \t\n"), "abc");
-    EXPECT_EQ(trim("abc"), "abc");
-    EXPECT_EQ(trim("   "), "");
-    EXPECT_EQ(trim(""), "");
-}
-
-TEST(Strings, SplitPreservesEmptyFields)
-{
-    auto parts = split("a,b,,c", ',');
-    ASSERT_EQ(parts.size(), 4u);
-    EXPECT_EQ(parts[0], "a");
-    EXPECT_EQ(parts[2], "");
-    EXPECT_EQ(parts[3], "c");
-    EXPECT_EQ(split("", ',').size(), 1u);
-}
-
-TEST(Strings, JoinRoundTripsSplit)
-{
-    std::string s = "x/y/z";
-    EXPECT_EQ(join(split(s, '/'), "/"), s);
-}
-
-TEST(Strings, PrefixSuffixChecks)
-{
-    EXPECT_TRUE(startsWith("robox_fig05", "robox"));
-    EXPECT_FALSE(startsWith("ro", "robox"));
-    EXPECT_TRUE(endsWith("fig05_cpu", "cpu"));
-    EXPECT_FALSE(endsWith("cpu", "fig05_cpu"));
-}
-
-TEST(Strings, ToLower)
-{
-    EXPECT_EQ(toLower("RoboX MPC"), "robox mpc");
-}
-
 TEST(Strings, FormatDoubleRoundTrips)
 {
     EXPECT_EQ(formatDouble(1.5), "1.5");

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sym/derivatives.hh"
 #include "sym/expr.hh"
 #include "sym/tape.hh"
 
@@ -359,56 +358,6 @@ TEST(Tape, MarksConstantOutputsAndKeepsOneSerialPerCompilation)
     EXPECT_EQ(copy.serial(), tape.serial());
     EXPECT_NE(again.serial(), tape.serial());
     EXPECT_EQ(Tape().serial(), 0u);
-}
-
-TEST(Derivatives, GradientAndJacobianShapes)
-{
-    Expr x = var(0, "x");
-    Expr y = var(1, "y");
-    Expr f = x * x * y + sin(y);
-    auto grad = gradient(f, {0, 1});
-    ASSERT_EQ(grad.size(), 2u);
-    EXPECT_NEAR(grad[0].eval({2.0, 3.0}), 2 * 2 * 3, 1e-12);
-    EXPECT_NEAR(grad[1].eval({2.0, 3.0}), 4 + std::cos(3.0), 1e-12);
-
-    auto jac = jacobian({x + y, x * y}, {0, 1});
-    ASSERT_EQ(jac.size(), 4u);
-    EXPECT_NEAR(jac[0].eval({5.0, 7.0}), 1.0, 1e-12);
-    EXPECT_NEAR(jac[3].eval({5.0, 7.0}), 5.0, 1e-12);
-}
-
-TEST(Derivatives, HessianIsSymmetricAndExact)
-{
-    Expr x = var(0, "x");
-    Expr y = var(1, "y");
-    // f = x^2 y + exp(x y): known second derivatives.
-    Expr f = pow(x, 2) * y + exp(x * y);
-    auto hess = hessian(f, {0, 1});
-    ASSERT_EQ(hess.size(), 4u);
-    double xv = 0.3;
-    double yv = 0.7;
-    double e = std::exp(xv * yv);
-    std::vector<double> env = {xv, yv};
-    EXPECT_NEAR(hess[0].eval(env), 2 * yv + yv * yv * e, 1e-10);
-    EXPECT_NEAR(hess[3].eval(env), xv * xv * e, 1e-10);
-    // Symmetry, including the mixed term 2x + e(1 + xy).
-    EXPECT_NEAR(hess[1].eval(env), hess[2].eval(env), 1e-14);
-    EXPECT_NEAR(hess[1].eval(env), 2 * xv + e * (1 + xv * yv), 1e-10);
-}
-
-TEST(Derivatives, GaussNewtonMatchesHandComputed)
-{
-    Expr x = var(0, "x");
-    Expr y = var(1, "y");
-    // Residuals r1 = x - 1 (w=2), r2 = x*y (w=0.5).
-    auto gn = gaussNewton({x - Expr(1.0), x * y}, {2.0, 0.5}, {0, 1},
-                          {3.0, 4.0});
-    ASSERT_EQ(gn.size(), 4u);
-    // H = 2*2*[1 0;0 0] + 2*0.5*[y;x][y x] at (3,4).
-    EXPECT_NEAR(gn[0], 4.0 + 1.0 * 16.0, 1e-12);
-    EXPECT_NEAR(gn[1], 1.0 * 12.0, 1e-12);
-    EXPECT_NEAR(gn[2], gn[1], 1e-12);
-    EXPECT_NEAR(gn[3], 1.0 * 9.0, 1e-12);
 }
 
 } // namespace

@@ -473,16 +473,17 @@ sys.go();
 
 /** A two-state integrator whose task holds `row`, a penalty or
  *  constraint line built on sqrt(x): at x = 0 its residual is finite
- *  while its x derivative 0.5 / sqrt(x) is infinite. */
+ *  while its x derivative 0.5 / sqrt(x) is infinite. `vdot` is the
+ *  right-hand side of v's dynamics line. */
 std::string
-sqrtIntegrator(const std::string &row)
+sqrtIntegrator(const std::string &row, const std::string &vdot = "u")
 {
     return R"(
 System S() {
   state x, v;
   input u;
   x.dt = v;
-  v.dt = u;
+  v.dt = )" + vdot + R"(;
   u.lower_bound <= -1;
   u.upper_bound <= 1;
   Task go() {
@@ -540,6 +541,93 @@ TEST(FaultInjection, InfiniteJacobianEntryOutcomesArePinned)
         EXPECT_EQ(result.iterations, c.iterations);
         EXPECT_EQ(solver.lastStats().recoveryAttempts, c.recoveries);
         EXPECT_EQ(bits, c.u0_bits) << u0;
+    }
+}
+
+TEST(FaultInjection, InfiniteDynamicsJacobianOutcomesArePinned)
+{
+    // v.dt = u + sqrt(x): from x = 0 the dynamics Jacobian A holds an
+    // infinite entry beside structural zeros, so the Riccati pass
+    // meets it and the cost-to-go P turns non-finite. Status,
+    // iterations, recoveries and the bits of u0 are pinned.
+    struct Case
+    {
+        double x0;
+        SolveStatus status;
+        int iterations;
+        int recoveries;
+        std::uint64_t u0_bits;
+    };
+    const Case cases[] = {
+        {0.0, SolveStatus::NumericFailure, 2, 2, 0},
+        {1.0, SolveStatus::Converged, 12, 0, 0x3feffffff977a977ull},
+    };
+    const char *kTrack = "penalty p;\n    p.running = x - 2;";
+    for (const Case &c : cases) {
+        SCOPED_TRACE("from x = " + std::to_string(c.x0));
+        dsl::ModelSpec model =
+            dsl::analyzeSource(sqrtIntegrator(kTrack, "u + sqrt(x)"));
+        MpcOptions opt;
+        opt.horizon = 10;
+        opt.dt = 0.1;
+        IpmSolver solver(model, opt);
+        const IpmSolver::Result &result =
+            solver.solve(Vector{c.x0, 0.0}, Vector(0));
+        const double u0 = result.u0[0];
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &u0, sizeof bits);
+        EXPECT_EQ(result.status, c.status) << toString(result.status);
+        EXPECT_EQ(result.iterations, c.iterations);
+        EXPECT_EQ(solver.lastStats().recoveryAttempts, c.recoveries);
+        EXPECT_EQ(bits, c.u0_bits) << u0;
+    }
+}
+
+TEST(FaultInjection, RiccatiWithInfiniteDynamicsEntryIsPinned)
+{
+    // One stage's A holds an Inf beside zeros while the cost-to-go is
+    // diagonal, so the products P A meet 0 * Inf wherever a zero of P
+    // lines up with the Inf. The returned status and the flop count
+    // are pinned for the Inf in the last stage (met first, against
+    // P = Qn) and in the first stage (met last, where the recursion
+    // completes and the first input step is -Inf).
+    struct Case
+    {
+        std::size_t stage;
+        FactorStatus status;
+        std::uint64_t flops;
+    };
+    const Case cases[] = {
+        {2, FactorStatus::NonFinite, 416},
+        {0, FactorStatus::Ok, 762},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("Inf in stage " + std::to_string(c.stage));
+        std::vector<StageQp> stages(3);
+        for (StageQp &st : stages) {
+            st.a = Matrix::identity(3);
+            st.a(0, 1) = 0.1;
+            st.b = Matrix(3, 1);
+            st.b(1, 0) = 0.1;
+            st.c = Vector{0.0, 0.5, 0.0};
+            st.q = Matrix::identity(3);
+            st.r = Matrix::identity(1);
+            st.s = Matrix(1, 3);
+            st.qv = Vector{0.0, 0.0, 0.0};
+            st.rv = Vector{0.0};
+        }
+        stages[c.stage].a(1, 2) = kInf;
+
+        RiccatiWorkspace ws;
+        RiccatiSolution sol;
+        FactorStatus status =
+            solveRiccati(stages, Matrix::identity(3), Vector(3),
+                         Vector{1.0, 0.0, 1.0}, 1e-8, ws, sol);
+        EXPECT_EQ(status, c.status) << toString(status);
+        EXPECT_EQ(sol.flops, c.flops);
+        if (status == FactorStatus::Ok) {
+            EXPECT_EQ(sol.du[0][0], -kInf);
+        }
     }
 }
 

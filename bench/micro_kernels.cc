@@ -92,14 +92,21 @@ BENCHMARK(BM_Cholesky)->Arg(4)->Arg(8)->Arg(12)->Arg(18);
 void
 BM_RiccatiSolve(benchmark::State &state)
 {
+    // The workspace overload, as IpmSolver calls it, on dense random
+    // stages: the column lists of A and B hold every entry.
     int n_stages = static_cast<int>(state.range(0));
     auto stages = randomStages(12, 4, n_stages, 7);
     Matrix qn = randomSpd(12, 9);
     Vector qnv(12);
     Vector dx0(12);
+    mpc::RiccatiWorkspace ws;
+    mpc::RiccatiSolution sol;
     for (auto _ : state) {
-        auto sol = mpc::solveRiccati(stages, qn, qnv, dx0);
+        FactorStatus status =
+            mpc::solveRiccati(stages, qn, qnv, dx0, 1e-8, ws, sol);
+        benchmark::DoNotOptimize(status);
         benchmark::DoNotOptimize(sol.du.data());
+        benchmark::ClobberMemory();
     }
     state.SetComplexityN(n_stages);
 }

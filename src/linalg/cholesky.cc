@@ -58,32 +58,41 @@ hasNonFinite(const Matrix &a)
     return false;
 }
 
-/** Forward substitution L y = b in place over the entries b[0],
- *  b[stride], ...: a vector (stride 1) or one column of a row-major
- *  matrix (stride = its column count). */
+/**
+ * b(i, :) = (b(i, :) - the sum over k in [k0, k1) of coef(k) * b(k, :))
+ * / d, each entry's terms in k order, four columns at a time in
+ * registers: one row step of a substitution over every column of b.
+ */
+template <typename Coef>
 void
-forwardStrided(const Matrix &l, double *b, std::size_t stride)
+substituteRow(Matrix &b, std::size_t i, std::size_t k0, std::size_t k1,
+              const Coef &coef, double d)
 {
-    const std::size_t n = l.rows();
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i * stride];
-        for (std::size_t k = 0; k < i; ++k)
-            acc -= l(i, k) * b[k * stride];
-        b[i * stride] = acc / l(i, i);
+    const std::size_t n = b.cols();
+    double *bd = b.data();
+    double *bi = &bd[i * n];
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        double c0 = bi[j], c1 = bi[j + 1], c2 = bi[j + 2],
+               c3 = bi[j + 3];
+        for (std::size_t k = k0; k < k1; ++k) {
+            const double s = coef(k);
+            const double *bk = &bd[k * n + j];
+            c0 -= s * bk[0];
+            c1 -= s * bk[1];
+            c2 -= s * bk[2];
+            c3 -= s * bk[3];
+        }
+        bi[j] = c0 / d;
+        bi[j + 1] = c1 / d;
+        bi[j + 2] = c2 / d;
+        bi[j + 3] = c3 / d;
     }
-}
-
-/** Backward substitution L^T x = y in place, strided like
- *  forwardStrided. */
-void
-backwardStrided(const Matrix &l, double *y, std::size_t stride)
-{
-    const std::size_t n = l.rows();
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii * stride];
-        for (std::size_t k = ii + 1; k < n; ++k)
-            acc -= l(k, ii) * y[k * stride];
-        y[ii * stride] = acc / l(ii, ii);
+    for (; j < n; ++j) {
+        double c = bi[j];
+        for (std::size_t k = k0; k < k1; ++k)
+            c -= coef(k) * bd[k * n + j];
+        bi[j] = c / d;
     }
 }
 
@@ -141,14 +150,26 @@ void
 forwardSubstituteInPlace(const Matrix &l, Vector &b)
 {
     robox_assert_dbg(l.cols() == l.rows() && b.size() == l.rows());
-    forwardStrided(l, b.data(), 1);
+    const std::size_t n = l.rows();
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = b[i];
+        for (std::size_t k = 0; k < i; ++k)
+            acc -= l(i, k) * b[k];
+        b[i] = acc / l(i, i);
+    }
 }
 
 void
 backwardSubstituteInPlace(const Matrix &l, Vector &y)
 {
     robox_assert_dbg(l.cols() == l.rows() && y.size() == l.rows());
-    backwardStrided(l, y.data(), 1);
+    const std::size_t n = l.rows();
+    for (std::size_t ii = n; ii-- > 0;) {
+        double acc = y[ii];
+        for (std::size_t k = ii + 1; k < n; ++k)
+            acc -= l(k, ii) * y[k];
+        y[ii] = acc / l(ii, ii);
+    }
 }
 
 void
@@ -162,11 +183,19 @@ void
 choleskySolveMatrixInPlace(const Matrix &l, Matrix &b)
 {
     robox_assert_dbg(l.cols() == l.rows() && b.rows() == l.rows());
-    // Column by column, directly on b's storage.
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        forwardStrided(l, b.data() + j, b.cols());
-        backwardStrided(l, b.data() + j, b.cols());
-    }
+    // Row by row over all of b's columns at once. Each column gets the
+    // vector solve's operations in its order: the columns are
+    // independent, so the forward pass may finish every column before
+    // the backward pass starts.
+    const std::size_t n = l.rows();
+    for (std::size_t i = 0; i < n; ++i)
+        substituteRow(
+            b, i, 0, i, [&l, i](std::size_t k) { return l(i, k); },
+            l(i, i));
+    for (std::size_t ii = n; ii-- > 0;)
+        substituteRow(
+            b, ii, ii + 1, n, [&l, ii](std::size_t k) { return l(k, ii); },
+            l(ii, ii));
 }
 
 FactorStatus

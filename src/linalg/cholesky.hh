@@ -77,8 +77,9 @@ void backwardSubstituteInPlace(const Matrix &l, Vector &y);
  *  the solution. */
 void choleskySolveInPlace(const Matrix &l, Vector &b);
 
-/** Solve A X = B column by column given the Cholesky factor L of A,
- *  overwriting B with the solution. */
+/** Solve A X = B given the Cholesky factor L of A, overwriting B with
+ *  the solution. Runs row by row over all of B's columns at once; each
+ *  column equals choleskySolveInPlace on it, bit for bit. */
 void choleskySolveMatrixInPlace(const Matrix &l, Matrix &b);
 
 /**

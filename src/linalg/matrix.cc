@@ -96,25 +96,88 @@ Matrix::copyFrom(const Matrix &o)
 }
 
 void
-multiplyInto(const Matrix &a, const Matrix &b, Matrix &out)
+ColumnLists::resize(std::size_t rows, std::size_t cols)
 {
-    robox_assert_dbg(a.cols() == b.rows());
-    robox_assert_dbg(&out != &a && &out != &b);
-    if (out.rows() != a.rows() || out.cols() != b.cols())
-        out.resize(a.rows(), b.cols());
-    else
-        out.fill(0.0);
-    const std::size_t an = a.cols(), bn = b.cols();
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const double *arow = &a.data()[i * an];
-        double *crow = &out.data()[i * bn];
-        for (std::size_t k = 0; k < an; ++k) {
-            double s = arow[k];
-            if (s == 0.0)
-                continue;
-            const double *brow = &b.data()[k * bn];
-            for (std::size_t j = 0; j < bn; ++j)
-                crow[j] += s * brow[j];
+    if (rows_ == rows && cols_ == cols && start_.size() == cols + 1)
+        return;
+    rows_ = rows;
+    cols_ = cols;
+    start_.assign(cols + 1, 0);
+    row_.assign(rows * cols, 0);
+    value_.assign(rows * cols, 0.0);
+}
+
+void
+ColumnLists::assign(const Matrix &m, bool every_entry)
+{
+    robox_assert_dbg(m.rows() == rows_ && m.cols() == cols_);
+    // Every entry is written at the next free position and kept by
+    // advancing past it, which needs no branch per entry.
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < cols_; ++j) {
+        start_[j] = n;
+        for (std::size_t k = 0; k < rows_; ++k) {
+            const double v = m(k, j);
+            row_[n] = k;
+            value_[n] = v;
+            n += every_entry || v != 0.0;
+        }
+    }
+    start_[cols_] = n;
+}
+
+void
+multiplyInto(const Matrix &p, const ColumnLists &a, Matrix &out)
+{
+    robox_assert_dbg(p.cols() == a.rows());
+    robox_assert_dbg(&out != &p);
+    const std::size_t m = p.rows(), n = p.cols(), nc = a.cols();
+    if (out.rows() != m || out.cols() != nc)
+        out.resize(m, nc);
+    // The dense product skips zero entries of p. Where a(k, j) is
+    // finite, keeping the term p(i, k) * a(k, j) = +-0 changes nothing:
+    // the sum starts at +0 and so never holds -0. Where a(k, j) is Inf
+    // or NaN, a zero p(i, k) contributes +0 instead, which is the skip.
+    auto term = [](double pik, double akj) {
+        return pik != 0.0 ? pik * akj : 0.0;
+    };
+    const double *pd = p.data();
+    for (std::size_t j = 0; j < nc; ++j) {
+        const std::size_t t0 = a.begin(j), t1 = a.end(j);
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            const double *p0 = &pd[i * n];
+            const double *p1 = p0 + n, *p2 = p1 + n, *p3 = p2 + n;
+            double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::size_t k = a.row(t);
+                const double v = a.value(t);
+                if (std::isfinite(v)) {
+                    c0 += p0[k] * v;
+                    c1 += p1[k] * v;
+                    c2 += p2[k] * v;
+                    c3 += p3[k] * v;
+                } else {
+                    c0 += term(p0[k], v);
+                    c1 += term(p1[k], v);
+                    c2 += term(p2[k], v);
+                    c3 += term(p3[k], v);
+                }
+            }
+            out(i, j) = c0;
+            out(i + 1, j) = c1;
+            out(i + 2, j) = c2;
+            out(i + 3, j) = c3;
+        }
+        for (; i < m; ++i) {
+            const double *pi = &pd[i * n];
+            double c = 0.0;
+            for (std::size_t t = t0; t < t1; ++t) {
+                const double v = a.value(t);
+                const double pik = pi[a.row(t)];
+                c += std::isfinite(v) ? pik * v : term(pik, v);
+            }
+            out(i, j) = c;
         }
     }
 }
@@ -154,27 +217,48 @@ multiplyAddInto(const Matrix &a, const Vector &v, Vector &out)
 namespace
 {
 
-/** Shared core of the transposed matrix-matrix kernels:
- *  out (+|-)= a^T * b, with sign +1 or -1. */
+/**
+ * out[0, n) += the sum over t in [t0, t1) of s * b(k, 0..n), where s
+ * = term(t, k) also names the row k, skipping terms whose s is zero,
+ * in t order. Four outputs at a time stay in registers across all the
+ * terms.
+ */
+template <typename Term>
 void
-transposeMulAccum(const Matrix &a, const Matrix &b, double sign,
-                  Matrix &out)
+addRowTerms(double *out, const Matrix &b, std::size_t t0, std::size_t t1,
+            const Term &term)
 {
-    robox_assert_dbg(a.rows() == b.rows());
-    robox_assert_dbg(out.rows() == a.cols() && out.cols() == b.cols());
-    robox_assert_dbg(&out != &a && &out != &b);
-    const std::size_t an = a.cols(), bn = b.cols();
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-        const double *arow = &a.data()[k * an];
-        const double *brow = &b.data()[k * bn];
-        for (std::size_t i = 0; i < an; ++i) {
-            double s = sign * arow[i];
+    const std::size_t n = b.cols();
+    const double *bd = b.data();
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        double c0 = out[j], c1 = out[j + 1], c2 = out[j + 2],
+               c3 = out[j + 3];
+        for (std::size_t t = t0; t < t1; ++t) {
+            std::size_t k = 0;
+            const double s = term(t, k);
             if (s == 0.0)
                 continue;
-            double *crow = &out.data()[i * bn];
-            for (std::size_t j = 0; j < bn; ++j)
-                crow[j] += s * brow[j];
+            const double *bk = &bd[k * n + j];
+            c0 += s * bk[0];
+            c1 += s * bk[1];
+            c2 += s * bk[2];
+            c3 += s * bk[3];
         }
+        out[j] = c0;
+        out[j + 1] = c1;
+        out[j + 2] = c2;
+        out[j + 3] = c3;
+    }
+    for (; j < n; ++j) {
+        double c = out[j];
+        for (std::size_t t = t0; t < t1; ++t) {
+            std::size_t k = 0;
+            const double s = term(t, k);
+            if (s != 0.0)
+                c += s * bd[k * n + j];
+        }
+        out[j] = c;
     }
 }
 
@@ -199,15 +283,31 @@ transposeMulAccum(const Matrix &a, const Vector &v, double sign,
 } // namespace
 
 void
-transposeMulAddInto(const Matrix &a, const Matrix &b, Matrix &out)
+transposeMulAddInto(const ColumnLists &a, const Matrix &x, Matrix &out)
 {
-    transposeMulAccum(a, b, 1.0, out);
+    robox_assert_dbg(a.rows() == x.rows());
+    robox_assert_dbg(out.rows() == a.cols() && out.cols() == x.cols());
+    robox_assert_dbg(&out != &x);
+    for (std::size_t i = 0; i < a.cols(); ++i)
+        addRowTerms(&out.data()[i * out.cols()], x, a.begin(i), a.end(i),
+                    [&a](std::size_t t, std::size_t &k) {
+                        k = a.row(t);
+                        return a.value(t);
+                    });
 }
 
 void
 transposeMulSubInto(const Matrix &a, const Matrix &b, Matrix &out)
 {
-    transposeMulAccum(a, b, -1.0, out);
+    robox_assert_dbg(a.rows() == b.rows());
+    robox_assert_dbg(out.rows() == a.cols() && out.cols() == b.cols());
+    robox_assert_dbg(&out != &a && &out != &b);
+    for (std::size_t i = 0; i < a.cols(); ++i)
+        addRowTerms(&out.data()[i * out.cols()], b, 0, a.rows(),
+                    [&a, i](std::size_t t, std::size_t &k) {
+                        k = t;
+                        return -a(t, i);
+                    });
 }
 
 void

@@ -108,6 +108,40 @@ class Matrix
     std::vector<double> data_;
 };
 
+/**
+ * The column lists of a matrix: for each column, the rows of the
+ * entries a product visits, ascending, with their values. assign()
+ * lists either the nonzero entries or every entry. The buffers are
+ * sized once by resize() for the largest list, so refilling them
+ * allocates nothing.
+ */
+class ColumnLists
+{
+  public:
+    /** Size for rows x cols matrices (idempotent). */
+    void resize(std::size_t rows, std::size_t cols);
+    /** List the nonzero entries of each column of m, or every entry
+     *  when every_entry is set; m must have the resize() shape. */
+    void assign(const Matrix &m, bool every_entry);
+
+    std::size_t rows() const { return rows_; }
+    std::size_t cols() const { return cols_; }
+    /** Column j's entries are the positions [begin(j), end(j)). */
+    std::size_t begin(std::size_t j) const { return start_[j]; }
+    std::size_t end(std::size_t j) const { return start_[j + 1]; }
+    /** Row index of the entry at a position. */
+    std::size_t row(std::size_t t) const { return row_[t]; }
+    /** Value of the entry at a position. */
+    double value(std::size_t t) const { return value_[t]; }
+
+  private:
+    std::size_t rows_ = 0;
+    std::size_t cols_ = 0;
+    std::vector<std::size_t> start_; //!< cols + 1 offsets.
+    std::vector<std::size_t> row_;
+    std::vector<double> value_;
+};
+
 // ---------------------------------------------------------------------
 // In-place kernels for allocation-free solver hot paths.
 //
@@ -115,18 +149,28 @@ class Matrix
 // resizing it only when the shape differs (a no-op in steady state).
 // Output operands must not alias the inputs. The *AddInto / *SubInto
 // variants accumulate into the output, which must already have the
-// result shape.
+// result shape. The matrix-matrix kernels add each output entry's
+// terms in the order of the inner index and keep four output entries
+// in registers while they do.
 // ---------------------------------------------------------------------
 
-/** out = a * b. */
-void multiplyInto(const Matrix &a, const Matrix &b, Matrix &out);
+/**
+ * out = p * a over a's column lists, skipping p's zero entries. Equal
+ * bit for bit to the dense product that skips p's zeros whenever a's
+ * lists hold every entry, and whenever they hold every nonzero and p
+ * is finite: each dropped term is p(i, k) times 0, which is +-0,
+ * added to a sum that starts at +0 and so never holds -0.
+ */
+void multiplyInto(const Matrix &p, const ColumnLists &a, Matrix &out);
 /** out = a * v. */
 void multiplyInto(const Matrix &a, const Vector &v, Vector &out);
 /** out += a * v. */
 void multiplyAddInto(const Matrix &a, const Vector &v, Vector &out);
-/** out += a^T * b without forming the transpose. */
-void transposeMulAddInto(const Matrix &a, const Matrix &b, Matrix &out);
-/** out -= a^T * b. */
+/** out += a^T * x over a's column lists, skipping a's zero entries:
+ *  the dense product's terms in its order, for any list contents. */
+void transposeMulAddInto(const ColumnLists &a, const Matrix &x,
+                         Matrix &out);
+/** out -= a^T * b, skipping a's zero entries. */
 void transposeMulSubInto(const Matrix &a, const Matrix &b, Matrix &out);
 /** out += a^T * v. */
 void transposeMulAddInto(const Matrix &a, const Vector &v, Vector &out);

@@ -44,7 +44,12 @@ struct SolveStats
     double objective = 0.0;
     double eqResidual = 0.0;    //!< Final inf-norm of dynamics residual.
     double compAverage = 0.0;   //!< Final average complementarity.
-    std::uint64_t riccatiFlops = 0; //!< KKT-backend flops this solve.
+    /** KKT-backend flops this solve, summed from
+     *  RiccatiSolution::flops: the dense-equivalent model count, which
+     *  the Riccati pass's skipping of zero Jacobian entries leaves
+     *  unchanged, so mpc.kkt_kflops_per_iter stays comparable across
+     *  versions. */
+    std::uint64_t riccatiFlops = 0;
     /** Line-search trial points evaluated; the starting merit is not
      *  a trial point and is not counted. */
     int lineSearchEvals = 0;

@@ -11,6 +11,8 @@
 
 #include "mpc/riccati.hh"
 
+#include <cmath>
+
 #include "linalg/cholesky.hh"
 #include "support/logging.hh"
 
@@ -25,6 +27,18 @@ std::uint64_t
 matmulFlops(std::size_t m, std::size_t n, std::size_t p)
 {
     return static_cast<std::uint64_t>(2) * m * n * p;
+}
+
+/** True when no entry of m is NaN or Inf. */
+bool
+allFinite(const Matrix &m)
+{
+    const double *d = m.data();
+    const std::size_t n = m.rows() * m.cols();
+    for (std::size_t i = 0; i < n; ++i)
+        if (!std::isfinite(d[i]))
+            return false;
+    return true;
 }
 
 /** Ensure a stage-indexed vector-of-vectors has the right shape. */
@@ -64,6 +78,8 @@ RiccatiWorkspace::resize(std::size_t n_stages, std::size_t nx,
     sizeVec(fx, nx);
     sizeVec(fu, nu);
     sizeMat(l, nu, nu);
+    aCols.resize(nx, nx);
+    bCols.resize(nx, nu);
     if (gainK.size() != n_stages)
         gainK.assign(n_stages, Matrix(nu, nx));
     for (Matrix &k : gainK)
@@ -92,24 +108,34 @@ solveRiccati(const std::vector<StageQp> &stages, const Matrix &qn,
     ws.p.copyFrom(qn);
     ws.pv.copyFrom(qnv);
     double total_reg = 0.0;
+    bool p_finite = allFinite(qn);
 
     for (std::size_t kk = n_stages; kk-- > 0;) {
         const StageQp &st = stages[kk];
 
-        // P' A and P' B reused across the stage updates.
-        multiplyInto(ws.p, st.a, ws.pa);
-        multiplyInto(ws.p, st.b, ws.pb);
+        // The products with A and B run over their column lists. While
+        // P is finite, each term the lists drop from P A and P B is
+        // P(i,k) * 0 = +-0, a no-op on its sum; once P holds a NaN or
+        // an Inf those terms would be NaN, so the lists hold every
+        // entry. The transposed products skip zero entries of A and B
+        // for either list contents.
+        ws.aCols.assign(st.a, !p_finite);
+        ws.bCols.assign(st.b, !p_finite);
+
+        // P A and P B reused across the stage updates.
+        multiplyInto(ws.p, ws.aCols, ws.pa);
+        multiplyInto(ws.p, ws.bCols, ws.pb);
         multiplyInto(ws.p, st.c, ws.pc);
         ws.pc += ws.pv;
         sol.flops += matmulFlops(nx, nx, nx) + matmulFlops(nx, nx, nu) +
                      matmulFlops(nx, nx, 1);
 
         ws.fxx.copyFrom(st.q);
-        transposeMulAddInto(st.a, ws.pa, ws.fxx);
+        transposeMulAddInto(ws.aCols, ws.pa, ws.fxx);
         ws.fux.copyFrom(st.s);
-        transposeMulAddInto(st.b, ws.pa, ws.fux);
+        transposeMulAddInto(ws.bCols, ws.pa, ws.fux);
         ws.fuu.copyFrom(st.r);
-        transposeMulAddInto(st.b, ws.pb, ws.fuu);
+        transposeMulAddInto(ws.bCols, ws.pb, ws.fuu);
         ws.fx.copyFrom(st.qv);
         transposeMulAddInto(st.a, ws.pc, ws.fx);
         ws.fu.copyFrom(st.rv);
@@ -144,12 +170,17 @@ solveRiccati(const std::vector<StageQp> &stages, const Matrix &qn,
         transposeMulSubInto(ws.fux, ws.gainD[kk], ws.pv);
         sol.flops += matmulFlops(nx, nu, nx) + matmulFlops(nx, nu, 1);
 
-        // Symmetrize to suppress drift from rounding.
+        // Symmetrize to suppress drift from rounding. The diagonal and
+        // the mirrored entries then cover all of P, so they tell
+        // whether it is finite.
+        p_finite = true;
         for (std::size_t i = 0; i < nx; ++i) {
+            p_finite &= std::isfinite(ws.p(i, i));
             for (std::size_t j = i + 1; j < nx; ++j) {
                 double avg = 0.5 * (ws.p(i, j) + ws.p(j, i));
                 ws.p(i, j) = avg;
                 ws.p(j, i) = avg;
+                p_finite &= std::isfinite(avg);
             }
         }
     }

@@ -41,7 +41,11 @@ struct RiccatiSolution
     std::vector<Vector> dx; //!< State steps, size N+1.
     std::vector<Vector> du; //!< Input steps, size N.
     double regularization = 0.0; //!< Total Levenberg shift applied.
-    std::uint64_t flops = 0;     //!< Approximate floating-point ops.
+    /** Floating-point operations of the dense-equivalent recursion:
+     *  every product is counted as dense (2 m n p for an m x n by n x
+     *  p product), so skipping the zero entries of A and B does not
+     *  change it, and the count stays comparable across versions. */
+    std::uint64_t flops = 0;
     /** Outcome of the factorization that produced the steps. Set by
      *  the value-returning convenience wrappers (which used to abort
      *  on failure); when not Ok the steps are unspecified and must be
@@ -69,6 +73,10 @@ struct RiccatiWorkspace
     Vector fx;   //!< q + A' (p + P c).
     Vector fu;   //!< r + B' (p + P c).
     Matrix l;    //!< Cholesky factor of F_uu.
+    /** Column lists of the current stage's A and B: their nonzero
+     *  entries, or every entry once P holds a NaN or an Inf. */
+    ColumnLists aCols;
+    ColumnLists bCols;
     std::vector<Matrix> gainK; //!< Feedback gains, size N.
     std::vector<Vector> gainD; //!< Feedforward terms, size N.
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 
@@ -117,6 +118,16 @@ TEST(Matrix, IdentityAndDiagonal)
             EXPECT_DOUBLE_EQ(i3(i, j), i == j ? 1.0 : 0.0);
 }
 
+/** The column lists of m: its nonzero entries, or every entry. */
+ColumnLists
+listsOf(const Matrix &m, bool every_entry = false)
+{
+    ColumnLists lists;
+    lists.resize(m.rows(), m.cols());
+    lists.assign(m, every_entry);
+    return lists;
+}
+
 TEST(Matrix, MultiplyMatchesHandComputed)
 {
     Matrix a(2, 3);
@@ -129,7 +140,7 @@ TEST(Matrix, MultiplyMatchesHandComputed)
     // out = a b overwrites whatever the output held.
     Matrix c(2, 2);
     c.fill(1.0);
-    multiplyInto(a, b, c);
+    multiplyInto(a, listsOf(b), c);
     EXPECT_DOUBLE_EQ(c(0, 0), 58.0);
     EXPECT_DOUBLE_EQ(c(0, 1), 64.0);
     EXPECT_DOUBLE_EQ(c(1, 0), 139.0);
@@ -169,7 +180,7 @@ TEST(Matrix, TransposeVariantsAgree)
     const Matrix c0 = randomMatrix(6, 5, rng);
     Matrix add = c0;
     Matrix sub = c0;
-    transposeMulAddInto(a, b, add);
+    transposeMulAddInto(listsOf(a), b, add);
     transposeMulSubInto(a, b, sub);
     for (std::size_t i = 0; i < 6; ++i) {
         for (std::size_t j = 0; j < 5; ++j) {
@@ -204,6 +215,165 @@ gaussianSolution(Matrix a, Vector b)
 {
     EXPECT_EQ(gaussianSolveStatusInPlace(a, b), FactorStatus::Ok);
     return b;
+}
+
+// ---------------------------------------------------------------------
+// The Riccati kernels against loops in the order of the dense kernels
+// they replaced, bit for bit.
+// ---------------------------------------------------------------------
+
+/** True when a and b have one shape and the same bits. */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+/** A rows x cols matrix with about 70% exact zeros, a tenth of them
+ *  -0.0. */
+Matrix
+sparseMatrix(std::size_t rows, std::size_t cols, std::mt19937 &rng)
+{
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    std::uniform_real_distribution<double> dist(-2.0, 2.0);
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double draw = u(rng);
+            m(i, j) = draw < 0.07 ? -0.0 : draw < 0.7 ? 0.0 : dist(rng);
+        }
+    }
+    return m;
+}
+
+/** out = p a: every k with p(i, k) != 0, ascending, from +0. */
+Matrix
+denseProduct(const Matrix &p, const Matrix &a)
+{
+    Matrix out(p.rows(), a.cols());
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+        for (std::size_t k = 0; k < p.cols(); ++k) {
+            const double s = p(i, k);
+            if (s == 0.0)
+                continue;
+            for (std::size_t j = 0; j < a.cols(); ++j)
+                out(i, j) += s * a(k, j);
+        }
+    }
+    return out;
+}
+
+/** out += sign a^T x: every k with a(k, i) != 0, ascending. */
+void
+denseTransposeProduct(const Matrix &a, const Matrix &x, double sign,
+                      Matrix &out)
+{
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+        for (std::size_t i = 0; i < a.cols(); ++i) {
+            const double s = sign * a(k, i);
+            if (s == 0.0)
+                continue;
+            for (std::size_t j = 0; j < x.cols(); ++j)
+                out(i, j) += s * x(k, j);
+        }
+    }
+}
+
+TEST(ListKernels, MatchDenseOrderBitForBit)
+{
+    for (unsigned seed = 1; seed <= 13; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        std::uniform_int_distribution<std::size_t> dim(1, 13);
+        const std::size_t m = dim(rng), n = dim(rng), c = dim(rng);
+        // P A with P finite, zeros in both factors.
+        const Matrix p = sparseMatrix(m, n, rng);
+        const Matrix a = sparseMatrix(n, c, rng);
+        const Matrix expect = denseProduct(p, a);
+        for (bool every : {false, true}) {
+            Matrix out(m, c);
+            out.fill(-0.0);
+            multiplyInto(p, listsOf(a, every), out);
+            EXPECT_TRUE(sameBits(out, expect)) << "every " << every;
+        }
+
+        // out (+|-)= a^T x onto outputs that start at -0.0 and zeros.
+        const Matrix x = sparseMatrix(n, c, rng);
+        Matrix start = sparseMatrix(c, c, rng);
+        for (std::size_t i = 0; i < c; ++i)
+            start(i, 0) = -0.0;
+        const Matrix at = sparseMatrix(n, c, rng);
+        Matrix add_expect = start;
+        denseTransposeProduct(at, x, 1.0, add_expect);
+        for (bool every : {false, true}) {
+            Matrix add = start;
+            transposeMulAddInto(listsOf(at, every), x, add);
+            EXPECT_TRUE(sameBits(add, add_expect)) << "every " << every;
+        }
+        Matrix sub_expect = start;
+        denseTransposeProduct(at, x, -1.0, sub_expect);
+        Matrix sub = start;
+        transposeMulSubInto(at, x, sub);
+        EXPECT_TRUE(sameBits(sub, sub_expect));
+
+        // The matrix solve against the vector solve, column by column.
+        Matrix l = factor(randomSpd(n, rng));
+        Matrix rhs = sparseMatrix(n, c, rng);
+        Matrix solved = rhs;
+        choleskySolveMatrixInPlace(l, solved);
+        Matrix by_column = rhs;
+        for (std::size_t j = 0; j < c; ++j) {
+            Vector col(n);
+            for (std::size_t i = 0; i < n; ++i)
+                col[i] = rhs(i, j);
+            forwardSubstituteInPlace(l, col);
+            backwardSubstituteInPlace(l, col);
+            for (std::size_t i = 0; i < n; ++i)
+                by_column(i, j) = col[i];
+        }
+        EXPECT_TRUE(sameBits(solved, by_column));
+    }
+}
+
+TEST(ListKernels, NonFiniteEntriesMatchDenseOrder)
+{
+    // Every NaN below is the one the hardware makes for Inf * 0, so the
+    // comparison does not depend on which NaN operand a sum keeps.
+    volatile double zero = 0.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = inf * zero;
+    std::mt19937 rng(21);
+    const Matrix a = sparseMatrix(9, 7, rng);
+
+    // P holds an Inf and a NaN: with every entry listed, the products
+    // keep the dense loops' NaN and Inf terms.
+    Matrix p = sparseMatrix(6, 9, rng);
+    p(1, 2) = inf;
+    p(4, 0) = nan;
+    Matrix pa;
+    multiplyInto(p, listsOf(a, true), pa);
+    EXPECT_TRUE(sameBits(pa, denseProduct(p, a)));
+    Matrix fxx = sparseMatrix(7, 9, rng);
+    Matrix expect = fxx;
+    const Matrix pt = sparseMatrix(6, 7, rng);
+    denseTransposeProduct(pt, p, 1.0, expect);
+    transposeMulAddInto(listsOf(pt, true), p, fxx);
+    EXPECT_TRUE(sameBits(fxx, expect));
+
+    // A finite P with zeros against an A holding an Inf and a NaN: the
+    // zeros of P keep those entries out of the sums, as in the dense
+    // loop.
+    Matrix a_bad = a;
+    a_bad(3, 1) = inf;
+    a_bad(5, 6) = nan;
+    const Matrix p_finite = sparseMatrix(6, 9, rng);
+    for (bool every : {false, true}) {
+        multiplyInto(p_finite, listsOf(a_bad, every), pa);
+        EXPECT_TRUE(sameBits(pa, denseProduct(p_finite, a_bad)))
+            << "every " << every;
+    }
 }
 
 // The accessors are inline, but keep their debug bounds checks: the
@@ -292,7 +462,7 @@ TEST_P(CholeskyProperty, FactorizationAndSolveRoundTrip)
     Matrix sol = rhs;
     choleskySolveMatrixInPlace(l, sol);
     Matrix a_sol;
-    multiplyInto(a, sol, a_sol);
+    multiplyInto(a, listsOf(sol), a_sol);
     EXPECT_LT(maxAbsDiff(a_sol, rhs), 1e-8);
     for (std::size_t j = 0; j < rhs.cols(); ++j) {
         Vector col(n);

@@ -608,22 +608,33 @@ denseKktSolve(const std::vector<StageQp> &stages, const Matrix &qn,
             du[k][i] = sol[uoff(k) + i];
 }
 
-class RiccatiOracle : public ::testing::TestWithParam<std::tuple<int, int,
-                                                                 int>>
+/**
+ * Solve a seeded random stagewise QP with solveRiccati and with the
+ * dense KKT oracle, and compare the steps. About zero_fraction of A's
+ * and B's entries are exact zeros (drawn from a second generator, so
+ * zero_fraction = 0 keeps the dense draws).
+ */
+void
+expectMatchesDenseKkt(int nx, int nu, int n_stages, double zero_fraction)
 {
-};
-
-TEST_P(RiccatiOracle, MatchesDenseKktSolve)
-{
-    auto [nx, nu, n_stages] = GetParam();
     std::mt19937 rng(nx * 100 + nu * 10 + n_stages);
+    std::mt19937 mask_rng(nx * 100 + nu * 10 + n_stages + 1);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    std::bernoulli_distribution zero(zero_fraction);
 
     auto rand_mat = [&](std::size_t r, std::size_t c, double scale = 1.0) {
         Matrix m(r, c);
         for (std::size_t i = 0; i < r; ++i)
             for (std::size_t j = 0; j < c; ++j)
                 m(i, j) = dist(rng) * scale;
+        return m;
+    };
+    auto sparsify = [&](Matrix m) {
+        if (zero_fraction > 0.0)
+            for (std::size_t i = 0; i < m.rows(); ++i)
+                for (std::size_t j = 0; j < m.cols(); ++j)
+                    if (zero(mask_rng))
+                        m(i, j) = 0.0;
         return m;
     };
     auto rand_vec = [&](std::size_t n) {
@@ -649,8 +660,8 @@ TEST_P(RiccatiOracle, MatchesDenseKktSolve)
 
     std::vector<StageQp> stages(n_stages);
     for (auto &st : stages) {
-        st.a = rand_mat(nx, nx);
-        st.b = rand_mat(nx, nu);
+        st.a = sparsify(rand_mat(nx, nx));
+        st.b = sparsify(rand_mat(nx, nu));
         st.c = rand_vec(nx);
         st.q = rand_spd(nx, 0.5);
         st.r = rand_spd(nu, 1.0);
@@ -677,11 +688,253 @@ TEST_P(RiccatiOracle, MatchesDenseKktSolve)
     EXPECT_GT(sol.flops, 0u);
 }
 
+class RiccatiOracle : public ::testing::TestWithParam<std::tuple<int, int,
+                                                                 int>>
+{
+};
+
+TEST_P(RiccatiOracle, MatchesDenseKktSolve)
+{
+    auto [nx, nu, n_stages] = GetParam();
+    expectMatchesDenseKkt(nx, nu, n_stages, 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, RiccatiOracle,
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 1, 3},
                       std::tuple{3, 2, 5}, std::tuple{4, 2, 8},
                       std::tuple{6, 3, 4}, std::tuple{2, 2, 12}));
+
+/** The same oracle with about 70% of A's and B's entries exact zeros,
+ *  where the Riccati products skip most of the dense terms. */
+class SparseRiccatiOracle
+    : public ::testing::TestWithParam<std::tuple<int, int, int>>
+{
+};
+
+TEST_P(SparseRiccatiOracle, MatchesDenseKktSolve)
+{
+    auto [nx, nu, n_stages] = GetParam();
+    expectMatchesDenseKkt(nx, nu, n_stages, 0.7);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SparseShapes, SparseRiccatiOracle,
+    ::testing::Values(std::tuple{3, 2, 5}, std::tuple{6, 3, 4},
+                      std::tuple{8, 4, 6}, std::tuple{12, 4, 8}));
+
+/**
+ * The Riccati recursion with dense products, as solveRiccati ran it
+ * before its products went over the column lists of A and B: the
+ * reference its results must equal bit for bit. The kernels it calls
+ * did not change.
+ */
+FactorStatus
+denseOrderRiccati(const std::vector<StageQp> &stages, const Matrix &qn,
+                  const Vector &qnv, const Vector &dx0, double reg0,
+                  RiccatiSolution &sol)
+{
+    const std::size_t n_stages = stages.size();
+    const std::size_t nx = stages[0].a.rows();
+    const std::size_t nu = stages[0].b.cols();
+    auto flops = [](std::size_t m, std::size_t n, std::size_t p) {
+        return static_cast<std::uint64_t>(2) * m * n * p;
+    };
+    // out = p a over the k with p(i, k) != 0, ascending.
+    auto mul = [](const Matrix &p, const Matrix &a) {
+        Matrix out(p.rows(), a.cols());
+        for (std::size_t i = 0; i < p.rows(); ++i)
+            for (std::size_t k = 0; k < p.cols(); ++k) {
+                const double s = p(i, k);
+                if (s == 0.0)
+                    continue;
+                for (std::size_t j = 0; j < a.cols(); ++j)
+                    out(i, j) += s * a(k, j);
+            }
+        return out;
+    };
+    // out += sign a^T x over the k with a(k, i) != 0, ascending.
+    auto tmul = [](const Matrix &a, const Matrix &x, double sign,
+                   Matrix &out) {
+        for (std::size_t k = 0; k < a.rows(); ++k)
+            for (std::size_t i = 0; i < a.cols(); ++i) {
+                const double s = sign * a(k, i);
+                if (s == 0.0)
+                    continue;
+                for (std::size_t j = 0; j < x.cols(); ++j)
+                    out(i, j) += s * x(k, j);
+            }
+    };
+
+    sol.dx.assign(n_stages + 1, Vector(nx));
+    sol.du.assign(n_stages, Vector(nu));
+    sol.flops = 0;
+    sol.regularization = 0.0;
+    std::vector<Matrix> gain_k(n_stages);
+    std::vector<Vector> gain_d(n_stages);
+    Matrix p = qn;
+    Vector pv = qnv;
+    double total_reg = 0.0;
+    for (std::size_t kk = n_stages; kk-- > 0;) {
+        const StageQp &st = stages[kk];
+        const Matrix pa = mul(p, st.a);
+        const Matrix pb = mul(p, st.b);
+        Vector pc;
+        multiplyInto(p, st.c, pc);
+        pc += pv;
+        sol.flops += flops(nx, nx, nx) + flops(nx, nx, nu) + flops(nx, nx, 1);
+        Matrix fxx = st.q;
+        tmul(st.a, pa, 1.0, fxx);
+        Matrix fux = st.s;
+        tmul(st.b, pa, 1.0, fux);
+        Matrix fuu = st.r;
+        tmul(st.b, pb, 1.0, fuu);
+        Vector fx = st.qv;
+        transposeMulAddInto(st.a, pc, fx);
+        Vector fu = st.rv;
+        transposeMulAddInto(st.b, pc, fu);
+        sol.flops += flops(nx, nx, nx) + flops(nu, nx, nx) +
+                     flops(nu, nx, nu) + flops(nx, nx, 1) + flops(nu, nx, 1);
+
+        double reg = reg0;
+        Matrix l;
+        const FactorStatus status = choleskyRegularizedInto(fuu, reg, l);
+        if (status != FactorStatus::Ok)
+            return status;
+        total_reg += reg;
+        sol.flops += static_cast<std::uint64_t>(nu) * nu * nu / 3;
+
+        // K = F_uu^{-1} F_ux column by column, d = F_uu^{-1} f_u.
+        gain_k[kk] = fux;
+        for (std::size_t j = 0; j < nx; ++j) {
+            Vector col(nu);
+            for (std::size_t i = 0; i < nu; ++i)
+                col[i] = fux(i, j);
+            choleskySolveInPlace(l, col);
+            for (std::size_t i = 0; i < nu; ++i)
+                gain_k[kk](i, j) = col[i];
+        }
+        gain_d[kk] = fu;
+        choleskySolveInPlace(l, gain_d[kk]);
+        sol.flops += flops(nu, nu, nx) + flops(nu, nu, 1);
+
+        p = fxx;
+        tmul(fux, gain_k[kk], -1.0, p);
+        pv = fx;
+        transposeMulSubInto(fux, gain_d[kk], pv);
+        sol.flops += flops(nx, nu, nx) + flops(nx, nu, 1);
+        for (std::size_t i = 0; i < nx; ++i)
+            for (std::size_t j = i + 1; j < nx; ++j) {
+                const double avg = 0.5 * (p(i, j) + p(j, i));
+                p(i, j) = avg;
+                p(j, i) = avg;
+            }
+    }
+
+    sol.dx[0] = dx0;
+    for (std::size_t kk = 0; kk < n_stages; ++kk) {
+        const StageQp &st = stages[kk];
+        multiplyInto(gain_k[kk], sol.dx[kk], sol.du[kk]);
+        sol.du[kk] += gain_d[kk];
+        sol.du[kk] *= -1.0;
+        multiplyInto(st.a, sol.dx[kk], sol.dx[kk + 1]);
+        multiplyAddInto(st.b, sol.du[kk], sol.dx[kk + 1]);
+        sol.dx[kk + 1] += st.c;
+        sol.flops += flops(nu, nx, 1) + flops(nx, nx, 1) + flops(nx, nu, 1);
+    }
+    sol.regularization = total_reg;
+    return FactorStatus::Ok;
+}
+
+/** True when a and b have one size and the same bits. */
+bool
+sameBits(const Vector &a, const Vector &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Riccati, ListRecursionMatchesDenseOrderBitForBit)
+{
+    // Quadrotor-like stages (nx = 12, nu = 4, N = 32): about 30 of A's
+    // 144 entries and 20 of B's 48 are nonzero, a few of the zeros are
+    // -0.0, and the cost blocks are sparse too. Seed 4 starts from an
+    // asymmetric Qn.
+    const std::size_t nx = 12, nu = 4, n_stages = 32;
+    for (unsigned seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        std::uniform_real_distribution<double> dist(-1.0, 1.0);
+        std::uniform_real_distribution<double> u(0.0, 1.0);
+        auto sparse = [&](std::size_t r, std::size_t c, double density) {
+            Matrix m(r, c);
+            for (std::size_t i = 0; i < r; ++i)
+                for (std::size_t j = 0; j < c; ++j) {
+                    const double draw = u(rng);
+                    m(i, j) = draw < density        ? dist(rng)
+                              : draw < density + 0.05 ? -0.0
+                                                      : 0.0;
+                }
+            return m;
+        };
+        auto vec = [&](std::size_t n) {
+            Vector v(n);
+            for (std::size_t i = 0; i < n; ++i)
+                v[i] = u(rng) < 0.3 ? 0.0 : dist(rng);
+            return v;
+        };
+        // A symmetric positive definite block: a diagonal shift plus a
+        // sparse symmetric part.
+        auto spd = [&](std::size_t n) {
+            Matrix m = sparse(n, n, 0.15);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t j = 0; j < i; ++j)
+                    m(i, j) = m(j, i);
+                m(i, i) = 2.0 + u(rng);
+            }
+            return m;
+        };
+        std::vector<StageQp> stages(n_stages);
+        for (StageQp &st : stages) {
+            st.a = sparse(nx, nx, 0.12);
+            for (std::size_t i = 0; i < nx; ++i)
+                st.a(i, i) = 1.0;
+            st.b = sparse(nx, nu, 0.42);
+            st.c = vec(nx);
+            st.q = spd(nx);
+            st.r = spd(nu);
+            st.s = sparse(nu, nx, 0.2);
+            st.qv = vec(nx);
+            st.rv = vec(nu);
+        }
+        Matrix qn = spd(nx);
+        if (seed == 4)
+            qn(0, 1) += 0.25;
+        const Vector qnv = vec(nx);
+        const Vector dx0 = vec(nx);
+
+        RiccatiSolution expect;
+        const FactorStatus expect_status =
+            denseOrderRiccati(stages, qn, qnv, dx0, 1e-8, expect);
+        ASSERT_EQ(expect_status, FactorStatus::Ok);
+        // Twice on one workspace: the second solve reuses its lists.
+        RiccatiWorkspace ws;
+        RiccatiSolution sol;
+        for (int pass = 0; pass < 2; ++pass) {
+            const FactorStatus status =
+                solveRiccati(stages, qn, qnv, dx0, 1e-8, ws, sol);
+            EXPECT_EQ(status, expect_status);
+            EXPECT_EQ(sol.flops, expect.flops);
+            EXPECT_EQ(std::memcmp(&sol.regularization,
+                                  &expect.regularization, sizeof(double)),
+                      0);
+            for (std::size_t k = 0; k <= n_stages; ++k)
+                EXPECT_TRUE(sameBits(sol.dx[k], expect.dx[k])) << "dx " << k;
+            for (std::size_t k = 0; k < n_stages; ++k)
+                EXPECT_TRUE(sameBits(sol.du[k], expect.du[k])) << "du " << k;
+        }
+    }
+}
 
 TEST(Riccati, RegularizesIndefiniteInputHessian)
 {

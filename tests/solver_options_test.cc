@@ -29,15 +29,31 @@ mobile()
     return robots::benchmark("MobileRobot");
 }
 
-TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
+/**
+ * Five seeded random stagewise QPs solved by both backends. About
+ * zero_fraction of A's and B's entries are exact zeros, drawn from a
+ * second generator so that zero_fraction = 0 keeps the dense draws.
+ */
+void
+expectBackendsAgree(unsigned seed, double zero_fraction)
 {
-    std::mt19937 rng(31);
+    std::mt19937 rng(seed);
+    std::mt19937 mask_rng(seed + 1);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    std::bernoulli_distribution zero(zero_fraction);
     auto rand_mat = [&](std::size_t r, std::size_t c, double scale = 1.0) {
         Matrix m(r, c);
         for (std::size_t i = 0; i < r; ++i)
             for (std::size_t j = 0; j < c; ++j)
                 m(i, j) = dist(rng) * scale;
+        return m;
+    };
+    auto sparsify = [&](Matrix m) {
+        if (zero_fraction > 0.0)
+            for (std::size_t i = 0; i < m.rows(); ++i)
+                for (std::size_t j = 0; j < m.cols(); ++j)
+                    if (zero(mask_rng))
+                        m(i, j) = 0.0;
         return m;
     };
     auto rand_vec = [&](std::size_t n) {
@@ -67,8 +83,8 @@ TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
         int n_stages = 4 + trial;
         std::vector<StageQp> stages(n_stages);
         for (auto &st : stages) {
-            st.a = rand_mat(nx, nx);
-            st.b = rand_mat(nx, nu);
+            st.a = sparsify(rand_mat(nx, nx));
+            st.b = sparsify(rand_mat(nx, nu));
             st.c = rand_vec(nx);
             st.q = rand_spd(nx);
             st.r = rand_spd(nu);
@@ -93,6 +109,18 @@ TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
         // The structured solve is dramatically cheaper.
         EXPECT_LT(riccati.flops, dense.flops / 4);
     }
+}
+
+TEST(DenseKkt, MatchesRiccatiOnRandomProblems)
+{
+    expectBackendsAgree(31, 0.0);
+}
+
+TEST(DenseKkt, MatchesRiccatiOnSparseRandomProblems)
+{
+    // About 70% of A's and B's entries are exact zeros, where the
+    // Riccati products skip most of the dense terms.
+    expectBackendsAgree(37, 0.7);
 }
 
 TEST(DenseKkt, BackendsProduceSameControl)
